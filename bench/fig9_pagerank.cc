@@ -14,12 +14,9 @@
  * All soNUMA runs execute on the API-v2 Workload runtime (one
  * coroutine per node, §5.3 barrier alignment; src/app/pagerank.cc).
  *
- * --scale replaces the comparison tables with the rack-scale study the
- * ROADMAP asks for: the fine-grain implementation as a SweepDriver
- * workload at 64/256/512 nodes on 3D tori ({4,4,4} -> {4,8,8} ->
- * {8,8,8}), one FIG9_<label>.json artifact per cell (--out-dir=...).
- * The graph is fixed across node counts, so throughput (mops) rising
- * with the node count is the paper's near-linear scaling claim.
+ * The rack-scale study (fine-grain PageRank at 64/256/512 nodes on 3D
+ * tori, one FIG9_<label>.json artifact per cell) runs through the sweep
+ * driver instead: bench_sweep --workload=pagerank (src/app/README.md).
  *
  * Workload substitution (DESIGN.md): deterministic power-law graph in
  * place of the paper's Twitter subset. --vertices/--degree override the
@@ -29,7 +26,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "api/sweep.hh"
 #include "app/graph.hh"
 #include "app/pagerank.hh"
 #include "bench/common.hh"
@@ -68,55 +64,6 @@ runSide(const char *title, const Graph &g, const PageRankConfig &cfg,
     }
 }
 
-/** The rack-scale Fig. 9 study: fine-grain PageRank via SweepDriver. */
-int
-runScaleStudy(const bench::Args &args, bool quick)
-{
-    app::registerPageRankSweepWorkload();
-
-    api::SweepConfig cfg;
-    cfg.workload = "pagerank";
-    cfg.nodeCounts =
-        args.getList("nodes", quick ? "8,16" : "64,256,512");
-    cfg.topologies = {node::Topology::kTorus};
-    cfg.torusNdims = 3;
-    cfg.torusDims = args.getDims("topo");
-    cfg.requestSizes = {64}; // one vertex record per remote read
-    cfg.qpDepths = {64};
-    cfg.qpCounts = args.getList("qps", "1");
-    if (cfg.qpCounts.empty())
-        cfg.qpCounts = {1};
-    cfg.seed = args.getU64("seed", 1);
-    cfg.outDir = args.get("out-dir", "");
-    // 65536 vertices keep >= 128 owned vertices per node at 512 nodes,
-    // so compute still dominates the O(N) barrier broadcast and the
-    // mops curve stays near-linear through the whole 64-512 sweep.
-    cfg.pagerank.vertices = static_cast<std::uint32_t>(
-        args.getU64("vertices", quick ? 1024 : 65536));
-    cfg.pagerank.degree =
-        static_cast<std::uint32_t>(args.getU64("degree", quick ? 4 : 8));
-    cfg.pagerank.supersteps = 1;
-    cfg.pagerank.l2PerNodeBytes = args.getU64("l2kb", 256) * 1024;
-
-    std::printf("# Fig. 9 scale study: fine-grain PageRank, fixed graph "
-                "(V=%u, degree=%u), 3D tori\n",
-                cfg.pagerank.vertices, cfg.pagerank.degree);
-    std::printf("# strong scaling: mops rising with nodes is the paper's "
-                "near-linear claim\n");
-    api::SweepDriver driver(cfg);
-    try {
-        const auto cells = driver.run();
-        std::printf("# %zu cells done; per-cell JSON%s\n", cells.size(),
-                    cfg.outDir.empty()
-                        ? " (pass --out-dir=BENCH_sweep to keep artifacts)"
-                        : " written");
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "fig9 --scale: %s\n", e.what());
-        return 2;
-    }
-    return 0;
-}
-
 } // namespace
 
 int
@@ -124,11 +71,8 @@ main(int argc, char **argv)
 {
     bench::Args args(argc, argv,
                      {"quick", "platform", "vertices", "degree",
-                      "emu-vertices", "emu-degree", "l2kb", "scale",
-                      "nodes", "topo", "qps", "seed", "out-dir"});
+                      "emu-vertices", "emu-degree", "l2kb"});
     const bool quick = args.has("quick");
-    if (args.has("scale"))
-        return runScaleStudy(args, quick);
     const bool emuOnly = args.get("platform", "") == "emu";
     const bool hwOnly = args.get("platform", "") == "hw";
 

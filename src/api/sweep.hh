@@ -124,7 +124,7 @@ struct SweepConfig
         /**
          * LLC per node, scaled down with the scaled-down graph so the
          * cache-to-dataset ratio matches the paper's (see
-         * bench/fig9_pagerank.cc); 0 keeps the Table 1 default.
+         * src/app/README.md); 0 keeps the Table 1 default.
          */
         std::uint64_t l2PerNodeBytes = 256 * 1024;
     };

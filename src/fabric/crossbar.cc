@@ -5,88 +5,31 @@
 
 #include "fabric/crossbar.hh"
 
-#include <algorithm>
-#include <cassert>
-#include <stdexcept>
 #include <string>
-
-#include "sim/log.hh"
 
 namespace sonuma::fab {
 
 CrossbarFabric::CrossbarFabric(sim::EventQueue &eq,
                                sim::StatRegistry &stats,
                                const CrossbarParams &params)
-    : eq_(eq), stats_(stats), params_(params),
-      delivered_(stats, "fabric.delivered", "messages delivered"),
-      dropped_(stats, "fabric.dropped", "messages dropped (failures)"),
-      parkedCount_(stats, "fabric.parked",
-                   "deliveries parked on full eject queues")
+    : FabricCore(eq, stats, "crossbar", "fabric", params.creditsPerLane, 1),
+      params_(params)
 {
-}
-
-void
-CrossbarFabric::attach(sim::NodeId id, NetworkInterface *ni)
-{
-    if (endpoints_.size() <= id)
-        endpoints_.resize(id + 1);
-    Endpoint &ep = endpoints_[id];
-    assert(!ep.ni && "node id attached twice");
-    ep.ni = ni;
-    for (std::size_t l = 0; l < kNumLanes; ++l)
-        ep.credits[l] = params_.creditsPerLane;
-
-    if (!stats_.samplingEnabled())
-        return;
-    // Per-node egress probes; lanes share the node's egress bandwidth
-    // budget, so their busy time and depth are summed.
-    const std::string base = "fabric.node" + std::to_string(id) + ".egress";
-    probes_.push_back(std::make_unique<sim::TimeSeries>(
-        stats_, base + ".util", "fraction",
-        "egress pipe serialization utilization",
-        sim::TimeSeries::Kind::kRate, [this, id] {
-            sim::Tick busy = 0;
-            for (std::size_t l = 0; l < kNumLanes; ++l)
-                busy += endpoints_[id].egress[l].busyThrough(eq_.now());
-            return static_cast<double>(busy);
-        }));
-    probes_.push_back(std::make_unique<sim::TimeSeries>(
-        stats_, base + ".qdepth", "packets",
-        "packets serialized or in flight from this node",
-        sim::TimeSeries::Kind::kGauge, [this, id] {
-            std::size_t depth = 0;
-            for (std::size_t l = 0; l < kNumLanes; ++l)
-                depth += endpoints_[id].egress[l].queued();
-            return static_cast<double>(depth);
-        }));
 }
 
 bool
 CrossbarFabric::tryInject(const Message &msg)
 {
-    assert(msg.srcNid < endpoints_.size() && endpoints_[msg.srcNid].ni);
-    Endpoint &src = endpoints_[msg.srcNid];
-    const Lane lane = msg.lane();
-
-    if (src.failed || msg.dstNid >= endpoints_.size() ||
-        !endpoints_[msg.dstNid].ni) {
-        dropped_.inc();
-        return true; // swallowed: reliable delivery not possible
-    }
-    if (endpoints_[msg.dstNid].failed) {
-        dropped_.inc();
-        return true;
-    }
-    if (src.credits[li(lane)] == 0)
-        return false;
-    --src.credits[li(lane)];
+    const Admission a = admit(msg);
+    if (a != Admission::kAdmitted)
+        return a == Admission::kDropped;
 
     // Serialize on the per-lane egress pipe, then propagate (flat).
-    const sim::Tick ser = static_cast<sim::Tick>(
-        static_cast<double>(msg.wireBytes()) / params_.linkBandwidth * 1e12);
     const sim::NodeId srcId = msg.srcNid;
-    auto &link = src.egress[li(lane)];
-    link.push(eq_.now(), ser, params_.linkLatency, msg);
+    const Lane lane = msg.lane();
+    auto &link = endpoints_[srcId].ports[li(lane)];
+    link.push(eq_.now(), serialization(msg, params_.linkBandwidth),
+              params_.linkLatency, InFlight{msg.dstNid, 1, msg});
     link.arm(eq_, [this, srcId, lane] { drain(srcId, lane); });
     return true;
 }
@@ -94,8 +37,8 @@ CrossbarFabric::tryInject(const Message &msg)
 void
 CrossbarFabric::drain(sim::NodeId srcId, Lane lane)
 {
-    endpoints_[srcId].egress[li(lane)].drain(
-        eq_, [this](const Message &m) { arrive(m); },
+    endpoints_[srcId].ports[li(lane)].drain(
+        eq_, [this](const InFlight &f) { arrive(f.msg); },
         [this, srcId, lane] { drain(srcId, lane); });
 }
 
@@ -103,164 +46,30 @@ void
 CrossbarFabric::arrive(const Message &msg)
 {
     Endpoint &dst = endpoints_[msg.dstNid];
-    const Lane lane = msg.lane();
-    if (dst.failed) {
-        dropped_.inc();
-        returnCredit(msg.srcNid, lane);
+    const Endpoint &src = endpoints_[msg.srcNid];
+    if (dst.failed || !src.linkUp[msg.dstNid] || src.lossy[msg.dstNid]) {
+        drop(msg);
         return;
     }
-    // Link faults are checked at arrival so packets already serialized
-    // when the link died are lost too, matching a real cable pull.
-    if ((!failedLinks_.empty() &&
-         contains(failedLinks_, msg.srcNid, msg.dstNid)) ||
-        (!lossyLinks_.empty() &&
-         contains(lossyLinks_, msg.srcNid, msg.dstNid))) {
-        dropped_.inc();
-        returnCredit(msg.srcNid, lane);
-        return;
-    }
-    if (dst.ni->deliver(msg)) {
-        delivered_.inc();
-        returnCredit(msg.srcNid, lane);
-    } else {
-        // Receiver eject queue full: park the packet, keep the credit.
-        parkedCount_.inc();
-        dst.parked[li(lane)].push(msg);
-    }
+    deliver(dst, msg);
 }
 
-void
-CrossbarFabric::ejectSpaceFreed(sim::NodeId id, Lane lane)
+std::uint32_t
+CrossbarFabric::linkTo(sim::NodeId, sim::NodeId to) const
 {
-    Endpoint &dst = endpoints_[id];
-    if (dst.failed) {
-        // A failed node must not receive parked traffic; drop it so the
-        // senders' credits come back (unified with the torus).
-        flushParked(dst);
-        return;
-    }
-    auto &q = dst.parked[li(lane)];
-    while (!q.empty()) {
-        if (!dst.ni->deliver(q.front()))
-            break;
-        delivered_.inc();
-        returnCredit(q.front().srcNid, lane);
-        q.pop();
-    }
+    return to;
 }
 
-void
-CrossbarFabric::returnCredit(sim::NodeId srcId, Lane lane)
+std::uint32_t
+CrossbarFabric::linkCount() const
 {
-    Endpoint &src = endpoints_[srcId];
-    ++src.credits[li(lane)];
-    assert(src.credits[li(lane)] <= params_.creditsPerLane);
-    if (src.ni)
-        src.ni->injectSpaceFreed(lane);
+    return static_cast<std::uint32_t>(nodeCount());
 }
 
-void
-CrossbarFabric::flushParked(Endpoint &ep)
+std::string
+CrossbarFabric::portName(sim::NodeId id, std::uint32_t) const
 {
-    for (std::size_t l = 0; l < kNumLanes; ++l) {
-        auto &q = ep.parked[l];
-        while (!q.empty()) {
-            dropped_.inc();
-            returnCredit(q.front().srcNid, static_cast<Lane>(l));
-            q.pop();
-        }
-    }
-}
-
-void
-CrossbarFabric::notifyAll(const FailureInfo &info)
-{
-    // Notify every attached NI (the paper's driver is told of fabric
-    // failures and may reset RMC state, §5.1).
-    for (auto &ep : endpoints_) {
-        if (ep.ni)
-            ep.ni->notifyFailure(info);
-    }
-}
-
-bool
-CrossbarFabric::contains(
-    const std::vector<std::pair<sim::NodeId, sim::NodeId>> &links,
-    sim::NodeId from, sim::NodeId to)
-{
-    return std::find(links.begin(), links.end(),
-                     std::make_pair(from, to)) != links.end();
-}
-
-void
-CrossbarFabric::failNode(sim::NodeId id)
-{
-    assert(id < endpoints_.size());
-    Endpoint &ep = endpoints_[id];
-    if (ep.failed)
-        return;
-    ep.failed = true;
-    flushParked(ep);
-    notifyAll({FailureKind::kNodeDown, id, id});
-}
-
-void
-CrossbarFabric::recoverNode(sim::NodeId id)
-{
-    assert(id < endpoints_.size());
-    Endpoint &ep = endpoints_[id];
-    if (!ep.failed)
-        return;
-    ep.failed = false;
-    notifyAll({FailureKind::kNodeUp, id, id});
-}
-
-void
-CrossbarFabric::validateLink(sim::NodeId from, sim::NodeId to) const
-{
-    if (from >= endpoints_.size() || to >= endpoints_.size())
-        throw std::invalid_argument(
-            "crossbar link " + std::to_string(from) + "->" +
-            std::to_string(to) + ": node id out of range (crossbar has " +
-            std::to_string(endpoints_.size()) + " nodes)");
-    if (from == to)
-        throw std::invalid_argument(
-            "crossbar link " + std::to_string(from) + "->" +
-            std::to_string(to) + ": a node has no link to itself");
-}
-
-void
-CrossbarFabric::failLink(sim::NodeId from, sim::NodeId to)
-{
-    validateLink(from, to);
-    if (contains(failedLinks_, from, to))
-        return;
-    failedLinks_.emplace_back(from, to);
-    notifyAll({FailureKind::kLinkDown, from, to});
-}
-
-void
-CrossbarFabric::recoverLink(sim::NodeId from, sim::NodeId to)
-{
-    validateLink(from, to);
-    auto it = std::find(failedLinks_.begin(), failedLinks_.end(),
-                        std::make_pair(from, to));
-    if (it == failedLinks_.end())
-        return;
-    failedLinks_.erase(it);
-    notifyAll({FailureKind::kLinkUp, from, to});
-}
-
-void
-CrossbarFabric::setLinkLossy(sim::NodeId from, sim::NodeId to, bool lossy)
-{
-    validateLink(from, to);
-    auto it = std::find(lossyLinks_.begin(), lossyLinks_.end(),
-                        std::make_pair(from, to));
-    if (lossy && it == lossyLinks_.end())
-        lossyLinks_.emplace_back(from, to);
-    else if (!lossy && it != lossyLinks_.end())
-        lossyLinks_.erase(it);
+    return "fabric.node" + std::to_string(id) + ".egress";
 }
 
 } // namespace sonuma::fab

@@ -5,8 +5,6 @@
 
 #include "fabric/torus.hh"
 
-#include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -14,17 +12,12 @@ namespace sonuma::fab {
 
 TorusFabric::TorusFabric(sim::EventQueue &eq, sim::StatRegistry &stats,
                          const TorusParams &params)
-    : eq_(eq), stats_(stats), params_(params), routing_(params.dims),
-      delivered_(stats, "torus.delivered", "messages delivered"),
-      dropped_(stats, "torus.dropped", "messages dropped (failures)"),
+    : FabricCore(eq, stats, "torus", "torus", params.creditsPerLane,
+                 static_cast<std::uint32_t>(2 * params.dims.size())),
+      params_(params), routing_(params.dims),
       totalHops_(stats, "torus.totalHops", "sum of per-message hop counts")
 {
-    endpoints_.resize(routing_.nodeCount());
-    for (auto &ep : endpoints_) {
-        ep.ports.resize(routing_.portCount() * kNumLanes);
-        ep.linkUp.assign(routing_.portCount(), true);
-        ep.lossy.assign(routing_.portCount(), false);
-    }
+    fixNodeCount(routing_.nodeCount());
     // Misrouting around failures must terminate: a packet that crossed
     // far more links than any minimal-plus-detour path could need is
     // dropped (and counted) rather than allowed to livelock.
@@ -34,63 +27,12 @@ TorusFabric::TorusFabric(sim::EventQueue &eq, sim::StatRegistry &stats,
     hopCap_ = 4 * sumDims + 16;
 }
 
-void
-TorusFabric::attach(sim::NodeId id, NetworkInterface *ni)
-{
-    assert(id < endpoints_.size() && "node id exceeds torus size");
-    assert(!endpoints_[id].ni && "node id attached twice");
-    endpoints_[id].ni = ni;
-    for (std::size_t l = 0; l < kNumLanes; ++l)
-        endpoints_[id].credits[l] = params_.creditsPerLane;
-
-    if (!stats_.samplingEnabled())
-        return;
-    // One utilization + one queue-depth series per outgoing direction
-    // (lanes share the physical link, so their busy time is summed).
-    // endpoints_ is sized once in the constructor, so capturing the
-    // Endpoint's port vector through `this` + indices is stable.
-    for (std::uint32_t dir = 0; dir < routing_.portCount(); ++dir) {
-        const std::string base = "torus.node" + std::to_string(id) +
-                                 ".link" + std::to_string(dir);
-        probes_.push_back(std::make_unique<sim::TimeSeries>(
-            stats_, base + ".util", "fraction",
-            "link serialization utilization",
-            sim::TimeSeries::Kind::kRate, [this, id, dir] {
-                sim::Tick busy = 0;
-                for (std::size_t l = 0; l < kNumLanes; ++l)
-                    busy += endpoints_[id]
-                                .ports[dir * kNumLanes + l]
-                                .busyThrough(eq_.now());
-                return static_cast<double>(busy);
-            }));
-        probes_.push_back(std::make_unique<sim::TimeSeries>(
-            stats_, base + ".qdepth", "packets",
-            "packets serialized or in flight on the link",
-            sim::TimeSeries::Kind::kGauge, [this, id, dir] {
-                std::size_t depth = 0;
-                for (std::size_t l = 0; l < kNumLanes; ++l)
-                    depth += endpoints_[id]
-                                 .ports[dir * kNumLanes + l]
-                                 .queued();
-                return static_cast<double>(depth);
-            }));
-    }
-}
-
 bool
 TorusFabric::tryInject(const Message &msg)
 {
-    Endpoint &src = endpoints_[msg.srcNid];
-    const Lane lane = msg.lane();
-
-    if (src.failed || msg.dstNid >= endpoints_.size() ||
-        !endpoints_[msg.dstNid].ni || endpoints_[msg.dstNid].failed) {
-        dropped_.inc();
-        return true;
-    }
-    if (src.credits[li(lane)] == 0)
-        return false;
-    --src.credits[li(lane)];
+    const Admission a = admit(msg);
+    if (a != Admission::kAdmitted)
+        return a == Admission::kDropped;
     forward(msg.srcNid, msg, 0);
     return true;
 }
@@ -100,63 +42,45 @@ TorusFabric::forward(sim::NodeId here, const Message &msg,
                      std::uint32_t hops)
 {
     Endpoint &ep = endpoints_[here];
-    const Lane lane = msg.lane();
-
     if (ep.failed) {
-        dropped_.inc();
-        returnCredit(msg.srcNid, lane);
+        drop(msg);
         return;
     }
 
     if (msg.dstNid == here) {
-        if (ep.ni->deliver(msg)) {
-            delivered_.inc();
+        if (deliver(ep, msg))
             totalHops_.inc(hops);
-            returnCredit(msg.srcNid, lane);
-        } else {
-            ep.parked[li(lane)].push(msg);
-        }
         return;
     }
 
     std::uint32_t dir;
     if (params_.routing == RoutingMode::kAdaptive) {
-        if (hops >= hopCap_) {
-            dropped_.inc();
-            returnCredit(msg.srcNid, lane);
-            return;
-        }
-        dir = adaptiveDir(ep, here, msg);
+        dir = hops >= hopCap_ ? kNoDir : adaptiveDir(ep, here, msg);
         if (dir == kNoDir) {
-            dropped_.inc();
-            returnCredit(msg.srcNid, lane);
+            drop(msg);
             return;
         }
     } else {
         dir = routing_.nextDir(here, msg.dstNid);
         if (!ep.linkUp[dir]) {
-            dropped_.inc();
-            returnCredit(msg.srcNid, lane);
+            drop(msg);
             return;
         }
     }
     if (ep.lossy[dir]) {
         // Transient drop window: the link looks up to routing but loses
         // the packet. No notification; the sender's timeout recovers.
-        dropped_.inc();
-        returnCredit(msg.srcNid, lane);
+        drop(msg);
         return;
     }
-    const sim::NodeId next = routing_.neighbor(here, dir);
-    const sim::Tick ser = static_cast<sim::Tick>(
-        static_cast<double>(msg.wireBytes()) / params_.linkBandwidth * 1e12);
     const std::uint32_t portIdx =
         dir * static_cast<std::uint32_t>(kNumLanes) +
-        static_cast<std::uint32_t>(li(lane));
+        static_cast<std::uint32_t>(li(msg.lane()));
     auto &link = ep.ports[portIdx];
-    InFlight f{next, hops + 1, msg};
+    InFlight f{routing_.neighbor(here, dir), hops + 1, msg};
     f.msg.lastDir = static_cast<std::uint8_t>(dir);
-    link.push(eq_.now(), ser, params_.hopLatency, std::move(f));
+    link.push(eq_.now(), serialization(msg, params_.linkBandwidth),
+              params_.hopLatency, std::move(f));
     link.arm(eq_, [this, here, portIdx] { drain(here, portIdx); });
 }
 
@@ -193,93 +117,9 @@ TorusFabric::drain(sim::NodeId node, std::uint32_t portIdx)
         [this, node, portIdx] { drain(node, portIdx); });
 }
 
-void
-TorusFabric::ejectSpaceFreed(sim::NodeId id, Lane lane)
-{
-    Endpoint &ep = endpoints_[id];
-    if (ep.failed) {
-        // A failed node must not receive parked traffic; drop it so the
-        // senders' credits come back (unified with the crossbar).
-        flushParked(ep);
-        return;
-    }
-    auto &q = ep.parked[li(lane)];
-    while (!q.empty()) {
-        if (!ep.ni->deliver(q.front()))
-            break;
-        delivered_.inc();
-        returnCredit(q.front().srcNid, lane);
-        q.pop();
-    }
-}
-
-void
-TorusFabric::returnCredit(sim::NodeId srcId, Lane lane)
-{
-    Endpoint &src = endpoints_[srcId];
-    ++src.credits[li(lane)];
-    assert(src.credits[li(lane)] <= params_.creditsPerLane);
-    if (src.ni)
-        src.ni->injectSpaceFreed(lane);
-}
-
-void
-TorusFabric::flushParked(Endpoint &ep)
-{
-    for (std::size_t l = 0; l < kNumLanes; ++l) {
-        auto &q = ep.parked[l];
-        while (!q.empty()) {
-            dropped_.inc();
-            returnCredit(q.front().srcNid, static_cast<Lane>(l));
-            q.pop();
-        }
-    }
-}
-
-void
-TorusFabric::notifyAll(const FailureInfo &info)
-{
-    for (auto &ep : endpoints_) {
-        if (ep.ni)
-            ep.ni->notifyFailure(info);
-    }
-}
-
-void
-TorusFabric::failNode(sim::NodeId id)
-{
-    assert(id < endpoints_.size());
-    Endpoint &ep = endpoints_[id];
-    if (ep.failed)
-        return;
-    ep.failed = true;
-    flushParked(ep);
-    notifyAll({FailureKind::kNodeDown, id, id});
-}
-
-void
-TorusFabric::recoverNode(sim::NodeId id)
-{
-    assert(id < endpoints_.size());
-    Endpoint &ep = endpoints_[id];
-    if (!ep.failed)
-        return;
-    ep.failed = false;
-    notifyAll({FailureKind::kNodeUp, id, id});
-}
-
 std::uint32_t
-TorusFabric::dirTo(sim::NodeId from, sim::NodeId to) const
+TorusFabric::linkTo(sim::NodeId from, sim::NodeId to) const
 {
-    if (from >= endpoints_.size() || to >= endpoints_.size())
-        throw std::invalid_argument(
-            "torus link " + std::to_string(from) + "->" + std::to_string(to) +
-            ": node id out of range (torus has " +
-            std::to_string(endpoints_.size()) + " nodes)");
-    if (from == to)
-        throw std::invalid_argument(
-            "torus link " + std::to_string(from) + "->" + std::to_string(to) +
-            ": a node has no link to itself");
     for (std::uint32_t dir = 0; dir < routing_.portCount(); ++dir) {
         if (routing_.neighbor(from, dir) == to)
             return dir;
@@ -289,38 +129,16 @@ TorusFabric::dirTo(sim::NodeId from, sim::NodeId to) const
         " does not exist: the nodes are not torus neighbors");
 }
 
-void
-TorusFabric::validateLink(sim::NodeId from, sim::NodeId to) const
+std::uint32_t
+TorusFabric::linkCount() const
 {
-    (void)dirTo(from, to);
+    return routing_.portCount();
 }
 
-void
-TorusFabric::failLink(sim::NodeId from, sim::NodeId to)
+std::string
+TorusFabric::portName(sim::NodeId id, std::uint32_t port) const
 {
-    const std::uint32_t dir = dirTo(from, to);
-    Endpoint &ep = endpoints_[from];
-    if (!ep.linkUp[dir])
-        return;
-    ep.linkUp[dir] = false;
-    notifyAll({FailureKind::kLinkDown, from, to});
-}
-
-void
-TorusFabric::recoverLink(sim::NodeId from, sim::NodeId to)
-{
-    const std::uint32_t dir = dirTo(from, to);
-    Endpoint &ep = endpoints_[from];
-    if (ep.linkUp[dir])
-        return;
-    ep.linkUp[dir] = true;
-    notifyAll({FailureKind::kLinkUp, from, to});
-}
-
-void
-TorusFabric::setLinkLossy(sim::NodeId from, sim::NodeId to, bool lossy)
-{
-    endpoints_[from].lossy[dirTo(from, to)] = lossy;
+    return "torus.node" + std::to_string(id) + ".link" + std::to_string(port);
 }
 
 } // namespace sonuma::fab

@@ -10,22 +10,18 @@
  * freedom by construction (every in-network packet drains through
  * work-conserving servers; see DESIGN.md).
  *
- * Zero-allocation data path: each output port is a ring of in-flight
- * packets with precomputed hop-completion ticks and one drain event, the
- * same structure the crossbar uses for its egress pipes.
+ * Credits, parking and faults are the shared FabricCore's. Each output
+ * direction is one port and one link; link faults are checked when a
+ * packet departs a router, under both routing modes.
  */
 
 #ifndef SONUMA_FABRIC_TORUS_HH
 #define SONUMA_FABRIC_TORUS_HH
 
-#include <memory>
 #include <vector>
 
-#include "fabric/fabric.hh"
+#include "fabric/core.hh"
 #include "fabric/router.hh"
-#include "sim/ring_buffer.hh"
-#include "sim/serialized_link.hh"
-#include "sim/time_series.hh"
 
 namespace sonuma::fab {
 
@@ -39,29 +35,16 @@ struct TorusParams
     RoutingMode routing = RoutingMode::kDor;     //!< dor keeps artifacts stable
 };
 
-class TorusFabric : public Fabric
+class TorusFabric : public FabricCore
 {
   public:
     TorusFabric(sim::EventQueue &eq, sim::StatRegistry &stats,
                 const TorusParams &params = {});
 
-    void attach(sim::NodeId id, NetworkInterface *ni) override;
     bool tryInject(const Message &msg) override;
-    void ejectSpaceFreed(sim::NodeId id, Lane lane) override;
-    void failNode(sim::NodeId id) override;
-    void recoverNode(sim::NodeId id) override;
-    void failLink(sim::NodeId from, sim::NodeId to) override;
-    void recoverLink(sim::NodeId from, sim::NodeId to) override;
-    void setLinkLossy(sim::NodeId from, sim::NodeId to, bool lossy) override;
-    void validateLink(sim::NodeId from, sim::NodeId to) const override;
-    std::size_t nodeCount() const override { return endpoints_.size(); }
 
     const TorusRouting &routing() const { return routing_; }
     const TorusParams &params() const { return params_; }
-    std::uint64_t droppedMessages() const override
-    {
-        return dropped_.value();
-    }
 
     /** Mean hops of delivered messages (for topology ablation). */
     double
@@ -74,61 +57,22 @@ class TorusFabric : public Fabric
     }
 
   private:
-    /** One packet traversing a link toward its next router. */
-    struct InFlight
-    {
-        sim::NodeId next = 0;
-        std::uint32_t hops = 0;
-        Message msg;
-    };
-
-    struct Endpoint
-    {
-        Endpoint() = default;
-        Endpoint(const Endpoint &) = delete;
-        Endpoint &operator=(const Endpoint &) = delete;
-        Endpoint(Endpoint &&) noexcept = default;
-        Endpoint &operator=(Endpoint &&) noexcept = default;
-
-        NetworkInterface *ni = nullptr;
-        bool failed = false;
-        std::uint32_t credits[kNumLanes] = {0, 0};
-        sim::RingBuffer<Message> parked[kNumLanes];
-        // One serializing link per outgoing port per lane.
-        std::vector<sim::SerializedLink<InFlight>> ports;
-        // Physical link state per outgoing direction (lanes share a link).
-        std::vector<bool> linkUp;
-        std::vector<bool> lossy;
-    };
-
     /** Sentinel "no usable direction" value (also Message::lastDir unset). */
     static constexpr std::uint32_t kNoDir = 0xff;
 
-    sim::EventQueue &eq_;
-    sim::StatRegistry &stats_;
     TorusParams params_;
     TorusRouting routing_;
-    std::vector<Endpoint> endpoints_;
     std::uint32_t hopCap_; //!< adaptive-misroute livelock backstop
-
-    sim::Counter delivered_;
-    sim::Counter dropped_;
     sim::Counter totalHops_;
-
-    // Per-(node, direction) link probes (utilization + queue depth),
-    // created at attach() time; see docs/observability.md.
-    std::vector<std::unique_ptr<sim::TimeSeries>> probes_;
 
     void forward(sim::NodeId here, const Message &msg, std::uint32_t hops);
     void drain(sim::NodeId node, std::uint32_t portIdx);
-    void returnCredit(sim::NodeId src, Lane lane);
-    void flushParked(Endpoint &ep);
-    void notifyAll(const FailureInfo &info);
-    std::uint32_t dirTo(sim::NodeId from, sim::NodeId to) const;
     std::uint32_t adaptiveDir(const Endpoint &ep, sim::NodeId here,
                               const Message &msg) const;
 
-    std::size_t li(Lane l) const { return static_cast<std::size_t>(l); }
+    std::uint32_t linkTo(sim::NodeId from, sim::NodeId to) const override;
+    std::uint32_t linkCount() const override;
+    std::string portName(sim::NodeId id, std::uint32_t port) const override;
 };
 
 } // namespace sonuma::fab

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "fabric/crossbar.hh"
@@ -166,6 +167,44 @@ TEST_F(XbarFixture, FailedNodeDropsTraffic)
     eq.run();
     EXPECT_FALSE(ni1.hasMessage(Lane::kRequest));
     EXPECT_GT(xbar.droppedMessages(), 0u);
+}
+
+TEST_F(XbarFixture, LinkFaultsDropAtArrivalAfterSerialization)
+{
+    // Directed: 0 -> 1 down leaves 1 -> 0 up.
+    xbar.failLink(0, 1);
+    ni0.trySend(mkMsg(0, 1));
+    ni1.trySend(mkMsg(1, 0));
+    eq.run();
+    EXPECT_FALSE(ni1.hasMessage(Lane::kRequest));
+    EXPECT_TRUE(ni0.hasMessage(Lane::kRequest));
+    EXPECT_EQ(xbar.droppedMessages(), 1u);
+
+    // A packet already on the wire when its link dies is lost too.
+    xbar.recoverLink(0, 1);
+    ni0.trySend(mkMsg(0, 1));
+    eq.runUntil(eq.now() + sim::nsToTicks(10.0));
+    xbar.failLink(0, 1);
+    eq.run();
+    EXPECT_FALSE(ni1.hasMessage(Lane::kRequest));
+    EXPECT_EQ(xbar.droppedMessages(), 2u);
+
+    // A lossy link drops silently; clearing it restores delivery.
+    xbar.recoverLink(0, 1);
+    xbar.setLinkLossy(0, 1, true);
+    ni0.trySend(mkMsg(0, 1));
+    eq.run();
+    EXPECT_EQ(xbar.droppedMessages(), 3u);
+    xbar.setLinkLossy(0, 1, false);
+    ni0.trySend(mkMsg(0, 1));
+    eq.run();
+    EXPECT_TRUE(ni1.hasMessage(Lane::kRequest));
+    EXPECT_EQ(xbar.droppedMessages(), 3u);
+}
+
+TEST_F(XbarFixture, AttachTwiceThrows)
+{
+    EXPECT_THROW(xbar.attach(1, &ni1), std::invalid_argument);
 }
 
 TEST(TorusRouting, CoordsRoundTrip)
@@ -355,6 +394,33 @@ TEST_F(TorusFixture, FailedNodeDrops)
     eq.run();
     EXPECT_FALSE(nis[5]->hasMessage(Lane::kRequest));
     EXPECT_GT(torus.droppedMessages(), 0u);
+}
+
+TEST_F(TorusFixture, EjectBackpressureParksThenDrains)
+{
+    // Same shape as the crossbar case: the core's deliver path parks
+    // and counts on both topologies. 0 -> 10 crosses four hops.
+    for (int i = 0; i < 40; ++i)
+        nis[0]->trySend(
+            mkMsg(0, 10, Op::kReadReq, static_cast<std::uint32_t>(i)));
+    eq.run();
+    EXPECT_EQ(nis[10]->ejectDepth(Lane::kRequest), 16u);
+    EXPECT_GT(stats.counter("torus.parked")->value(), 0u);
+    std::vector<std::uint32_t> seen;
+    while (nis[10]->hasMessage(Lane::kRequest)) {
+        seen.push_back(nis[10]->pop(Lane::kRequest).tid);
+        eq.run();
+    }
+    ASSERT_EQ(seen.size(), 40u);
+    for (std::uint32_t i = 0; i < 40; ++i)
+        EXPECT_EQ(seen[i], i);
+    EXPECT_EQ(torus.droppedMessages(), 0u);
+}
+
+TEST_F(TorusFixture, AttachTwiceOrOutOfRangeThrows)
+{
+    EXPECT_THROW(torus.attach(3, nis[3].get()), std::invalid_argument);
+    EXPECT_THROW(torus.attach(16, nis[0].get()), std::invalid_argument);
 }
 
 } // namespace
