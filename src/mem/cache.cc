@@ -28,15 +28,13 @@ L1Cache::L1Cache(sim::EventQueue &eq, sim::StatRegistry &stats,
     const std::uint64_t lines = params_.sizeBytes / sim::kCacheLineBytes;
     numSets_ = static_cast<std::uint32_t>(lines / params_.assoc);
     assert(numSets_ > 0 && "L1 too small for its associativity");
-    sets_.resize(numSets_, std::vector<LineInfo>(params_.assoc));
+    sets_.resize(std::size_t(numSets_) * params_.assoc);
     mshrs_.resize(params_.mshrs);
-    // Reserve steady-state capacities up front: waiter lists are
-    // bounded by the concurrent accesses that can merge on one line,
-    // putbacks by the transactions in flight. Exceeding a reservation
-    // still works — it just pays one amortized growth.
-    for (auto &m : mshrs_)
-        m.waiters.reserve(2 * params_.mshrs);
-    fillScratch_.reserve(2 * params_.mshrs);
+    // Waiter lists and the fill scratch reserve nothing: each grows to
+    // the deepest merge the run reaches during warm-up and keeps that
+    // capacity. Putbacks in flight are few and rare (one per dirty
+    // eviction), so a first one can land after warm-up; their list
+    // reserves one entry per MSHR, a few hundred bytes.
     pendingPutbacks_.reserve(params_.mshrs);
     l1Id_ = l2_.registerL1(this);
 }
@@ -81,11 +79,18 @@ L1Cache::setOf(PAddr line) const
 }
 
 L1Cache::LineInfo *
+L1Cache::firstWay(PAddr line)
+{
+    return &sets_[std::size_t(setOf(line)) * params_.assoc];
+}
+
+L1Cache::LineInfo *
 L1Cache::findLine(PAddr line)
 {
-    for (auto &way : sets_[setOf(line)]) {
-        if (way.valid && way.tag == line)
-            return &way;
+    LineInfo *ways = firstWay(line);
+    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
+        if (ways[w].valid && ways[w].tag == line)
+            return &ways[w];
     }
     return nullptr;
 }
@@ -96,21 +101,21 @@ L1Cache::allocLine(PAddr line)
     if (LineInfo *existing = findLine(line))
         return existing; // upgrade fill: line already resident
 
-    auto &set = sets_[setOf(line)];
+    LineInfo *ways = firstWay(line);
     LineInfo *victim = nullptr;
-    for (auto &way : set) {
-        if (!way.valid) {
-            victim = &way;
+    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
+        if (!ways[w].valid) {
+            victim = &ways[w];
             break;
         }
     }
     if (!victim) {
-        for (auto &way : set) {
+        for (std::uint32_t w = 0; w < params_.assoc; ++w) {
             // Never victimize a line with an outstanding transaction.
-            if (findMshr(way.tag))
+            if (findMshr(ways[w].tag))
                 continue;
-            if (!victim || way.lastUse < victim->lastUse)
-                victim = &way;
+            if (!victim || ways[w].lastUse < victim->lastUse)
+                victim = &ways[w];
         }
     }
     assert(victim && "no evictable way (all have pending MSHRs)");
@@ -213,7 +218,7 @@ L1Cache::handleFill(PAddr line, bool grantedWrite)
     // Free the slot before draining its waiters: a waiter retry or
     // retryBlocked() below may start a fresh transaction on this same
     // line. Waiters move into a scratch list so both vectors keep
-    // their own (reserved) capacity.
+    // their own capacity.
     fillScratch_.clear();
     for (auto &w : mshr->waiters)
         fillScratch_.push_back(std::move(w));
@@ -283,17 +288,13 @@ L2Cache::L2Cache(sim::EventQueue &eq, sim::StatRegistry &stats,
     assert(numSets_ > 0);
     setFill_.resize(numSets_);
     // A set's fill list tops out at the associativity; reserving it now
-    // keeps first-touch line installs off the allocator.
+    // keeps first-touch line installs off the allocator, also for sets
+    // a run first touches after warm-up. (Concurrent misses to one set
+    // can push a list past the associativity; it then grows.)
     for (auto &f : setFill_)
         f.reserve(params_.assoc);
-    // Directory sizing derives from the cache capacity: pre-size the
-    // flat map so a fully resident L2 (at most `lines` tracked entries)
-    // reaches its steady state without rehashing. 2x covers the 0.7
-    // load factor; the clamp bounds host memory for large L2s in
-    // many-hundred-node sweeps (beyond it the map still grows on
-    // demand, an amortized warm-up cost).
-    lines_ = sim::FlatMap<PAddr, DirEntry>(
-        std::min<std::uint64_t>(2 * lines, 65536));
+    // The directory is not presized: it grows with the lines the run
+    // touches, a warm-up cost.
 }
 
 int

@@ -129,7 +129,8 @@ class L1Cache
      * Miss-status holding register. Fixed slots (params.mshrs of them,
      * linear-scanned — the hardware's CAM): an unordered_map here would
      * allocate a node per miss, and queue-pair polling makes misses the
-     * steady state. The waiters vector keeps its capacity across reuse.
+     * steady state. The waiters vector keeps its capacity across reuse,
+     * so it grows to the deepest merge the run reaches and stops.
      */
     struct Mshr
     {
@@ -164,8 +165,8 @@ class L1Cache
     int l1Id_ = -1;
 
     std::uint32_t numSets_;
-    std::vector<std::vector<LineInfo>> sets_; //!< [set][way]
-    std::vector<Mshr> mshrs_;                 //!< fixed slots (CAM)
+    std::vector<LineInfo> sets_; //!< [set * assoc + way]
+    std::vector<Mshr> mshrs_;    //!< fixed slots (CAM)
     std::size_t mshrsInUse_ = 0;
     // Scratch for draining one MSHR's waiters after its slot is freed
     // (capacity persists; see handleFill).
@@ -184,6 +185,7 @@ class L1Cache
 
     static PAddr lineOf(PAddr addr) { return addr & ~PAddr(63); }
     std::uint32_t setOf(PAddr line) const;
+    LineInfo *firstWay(PAddr line); //!< ways of line's set, in order
     LineInfo *findLine(PAddr line);
     LineInfo *allocLine(PAddr line); //!< may trigger victim writeback
 
@@ -294,7 +296,8 @@ class L2Cache
     // here is present in the L2; set occupancy enforced via setFill_.
     // Flat map, not unordered_map: directory inserts happen on every
     // cold line and must not churn heap nodes once the working set is
-    // resident.
+    // resident. It grows with the lines the run touches and stays put
+    // under replacement (erase leaves no tombstones).
     sim::FlatMap<PAddr, DirEntry> lines_;
     std::vector<std::vector<PAddr>> setFill_; //!< lines per set (for LRU)
 

@@ -5,13 +5,27 @@
 
 #include "mem/phys_mem.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstring>
+#include <new>
+#include <string>
 
 #include "sim/log.hh"
 
 namespace sonuma::mem {
 
-PhysMem::PhysMem(std::uint64_t size) : size_(size) {}
+PhysMem::PhysMem(std::uint64_t size)
+    : size_(size), chunks_((size + kChunkBytes - 1) / kChunkBytes)
+{
+}
+
+void
+PhysMem::Unmap::operator()(std::uint8_t *chunk) const noexcept
+{
+    ::munmap(chunk, kChunkBytes);
+}
 
 void
 PhysMem::checkRange(PAddr addr, std::uint64_t len) const
@@ -24,16 +38,27 @@ PhysMem::checkRange(PAddr addr, std::uint64_t len) const
 }
 
 std::uint8_t *
-PhysMem::chunkFor(PAddr addr) const
+PhysMem::chunkForWrite(PAddr addr)
 {
-    const std::uint64_t idx = addr / kChunkBytes;
-    auto it = chunks_.find(idx);
-    if (it == chunks_.end()) {
-        auto buf = std::make_unique<std::uint8_t[]>(kChunkBytes);
-        std::memset(buf.get(), 0, kChunkBytes);
-        it = chunks_.emplace(idx, std::move(buf)).first;
+    Chunk &chunk = chunks_[addr / kChunkBytes];
+    if (!chunk) {
+        // An anonymous mapping arrives zeroed and costs host memory
+        // page by page, only where it is written.
+        void *p = ::mmap(nullptr, kChunkBytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        chunk.reset(static_cast<std::uint8_t *>(p));
     }
-    return it->second.get();
+    return chunk.get();
+}
+
+std::size_t
+PhysMem::chunksCreated() const
+{
+    return static_cast<std::size_t>(std::count_if(
+        chunks_.begin(), chunks_.end(),
+        [](const Chunk &c) { return c != nullptr; }));
 }
 
 void
@@ -44,7 +69,10 @@ PhysMem::read(PAddr addr, void *dst, std::uint64_t len) const
     while (len > 0) {
         const std::uint64_t off = addr % kChunkBytes;
         const std::uint64_t n = std::min(len, kChunkBytes - off);
-        std::memcpy(out, chunkFor(addr) + off, n);
+        if (const std::uint8_t *chunk = chunks_[addr / kChunkBytes].get())
+            std::memcpy(out, chunk + off, n);
+        else
+            std::memset(out, 0, n);
         addr += n;
         out += n;
         len -= n;
@@ -59,7 +87,7 @@ PhysMem::write(PAddr addr, const void *src, std::uint64_t len)
     while (len > 0) {
         const std::uint64_t off = addr % kChunkBytes;
         const std::uint64_t n = std::min(len, kChunkBytes - off);
-        std::memcpy(chunkFor(addr) + off, in, n);
+        std::memcpy(chunkForWrite(addr) + off, in, n);
         addr += n;
         in += n;
         len -= n;
@@ -91,7 +119,9 @@ PhysMem::fill(PAddr addr, std::uint8_t byte, std::uint64_t len)
     while (len > 0) {
         const std::uint64_t off = addr % kChunkBytes;
         const std::uint64_t n = std::min(len, kChunkBytes - off);
-        std::memset(chunkFor(addr) + off, byte, n);
+        // Zeroing a never-written chunk changes nothing: it reads as zero.
+        if (byte != 0 || chunks_[addr / kChunkBytes])
+            std::memset(chunkForWrite(addr) + off, byte, n);
         addr += n;
         len -= n;
     }

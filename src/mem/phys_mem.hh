@@ -5,17 +5,16 @@
  * The simulator follows a functional/timing split (DESIGN.md §5.2): payload
  * bytes live here; caches and DRAM only model *when* accesses complete.
  * Backing store is chunked so simulating nodes with multi-GB address
- * spaces does not reserve host memory up front.
+ * spaces does not reserve host memory up front, and each chunk is an
+ * anonymous mapping the OS zero-fills on demand, so host memory follows
+ * the pages a run writes, not the chunks it touches.
  */
 
 #ifndef SONUMA_MEM_PHYS_MEM_HH
 #define SONUMA_MEM_PHYS_MEM_HH
 
-#include <array>
 #include <cstdint>
-#include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hh"
@@ -28,8 +27,9 @@ using PAddr = std::uint64_t;
 /**
  * Sparse byte-addressable physical memory for one node.
  *
- * All functional reads/writes go through here; an untouched chunk reads
- * as zero, matching zero-initialized DRAM semantics.
+ * All functional reads/writes go through here; a never-written chunk
+ * reads as zero, matching zero-initialized DRAM semantics, and reading
+ * it does not create it.
  */
 class PhysMem
 {
@@ -76,14 +76,22 @@ class PhysMem
     /** Fill @p len bytes with @p byte. */
     void fill(PAddr addr, std::uint8_t byte, std::uint64_t len);
 
+    /** Chunks created so far, i.e. ever written (for tests). */
+    std::size_t chunksCreated() const;
+
   private:
     static constexpr std::uint64_t kChunkBytes = 1ull << 20; // 1 MiB
 
-    std::uint64_t size_;
-    mutable std::unordered_map<std::uint64_t,
-                               std::unique_ptr<std::uint8_t[]>> chunks_;
+    struct Unmap
+    {
+        void operator()(std::uint8_t *chunk) const noexcept;
+    };
+    using Chunk = std::unique_ptr<std::uint8_t[], Unmap>;
 
-    std::uint8_t *chunkFor(PAddr addr) const;
+    std::uint64_t size_;
+    std::vector<Chunk> chunks_; //!< indexed by addr / kChunkBytes
+
+    std::uint8_t *chunkForWrite(PAddr addr);
     void checkRange(PAddr addr, std::uint64_t len) const;
 };
 

@@ -62,10 +62,10 @@ Rmc::Rmc(sim::EventQueue &eq, sim::StatRegistry &stats,
                      "transfers given up as unrecoverable (attempt "
                      "budget exhausted or peer dead)"),
       dedupRing_(params.dedupWindow),
-      // 4x the live window keeps the index far from its rehash
-      // threshold: tombstone drift from FIFO eviction stays amortized
-      // out of the steady state.
-      dedupIndex_(std::size_t(params.dedupWindow) * 4)
+      // The index never holds more than dedupWindow live keys and its
+      // erase leaves no tombstones, so 2x the window stays under the
+      // load factor for the whole run: FIFO eviction never rehashes.
+      dedupIndex_(std::size_t(params.dedupWindow) * 2)
 {
     freeTids_.reserve(params.maxTids);
     for (std::uint32_t i = 0; i < params.maxTids; ++i)

@@ -202,6 +202,66 @@ TEST_F(CacheFixture, L2EvictionBackInvalidatesL1)
     EXPECT_EQ(l1b.misses(), missesBefore + 1);
 }
 
+TEST_F(CacheFixture, ConcurrentMissesOverfillOnlyTheirOwnL2Set)
+{
+    // Two read misses to distinct lines of a set holding assoc-1 lines
+    // both pass the capacity check before either DRAM fetch returns, so
+    // the set briefly holds assoc+1 lines. That must stay the set's own
+    // business: the neighbouring set keeps its lines, and replacement
+    // in either set evicts only that set's lines.
+    EventQueue eq2;
+    StatRegistry st2;
+    DramChannel dram2(eq2, st2, "dram", DramParams{});
+    L2Cache::Params tiny;
+    tiny.sizeBytes = 8 * 1024; // 128 lines, 16-way -> 8 sets
+    L2Cache l2b(eq2, st2, "l2", tiny, dram2);
+    const std::uint32_t assoc = tiny.assoc;
+
+    // 8 sets * 64 B = 512 B stride stays in one set.
+    auto setA = [](std::uint32_t i) { return std::uint64_t(i) * 512; };
+    auto setB = [](std::uint32_t i) { return 64 + std::uint64_t(i) * 512; };
+    auto read = [&](std::uint64_t line) {
+        l2b.request(0, line, false, false, [] {});
+        eq2.run();
+    };
+    auto dramReads = [&] { return st2.counter("dram.reads")->value(); };
+
+    for (std::uint32_t i = 0; i < assoc; ++i)
+        read(setB(i));
+    for (std::uint32_t i = 0; i + 1 < assoc; ++i)
+        read(setA(i));
+    int done = 0;
+    l2b.request(0, setA(assoc - 1), false, false, [&] { ++done; });
+    l2b.request(0, setA(assoc), false, false, [&] { ++done; });
+    eq2.run();
+    ASSERT_EQ(done, 2);
+    EXPECT_EQ(l2b.trackedLines(), 2 * assoc + 1);
+    EXPECT_EQ(dramReads(), 2 * assoc + 1);
+    EXPECT_EQ(st2.counter("l2.evictions")->value(), 0u);
+
+    // Refresh the neighbour, then miss in it: its LRU line goes, and
+    // nothing of the over-full set does.
+    for (std::uint32_t i = 0; i < assoc; ++i)
+        read(setB(i));
+    read(setB(assoc));
+    EXPECT_EQ(st2.counter("l2.evictions")->value(), 1u);
+    const std::uint64_t before = dramReads();
+    for (std::uint32_t i = 0; i <= assoc; ++i)
+        read(setA(i));
+    for (std::uint32_t i = 1; i <= assoc; ++i)
+        read(setB(i));
+    EXPECT_EQ(dramReads(), before) << "a resident line was lost";
+
+    // A miss in the over-full set evicts one of its own lines.
+    read(setA(assoc + 1));
+    EXPECT_EQ(st2.counter("l2.evictions")->value(), 2u);
+    const std::uint64_t after = dramReads();
+    for (std::uint32_t i = 1; i <= assoc; ++i)
+        read(setB(i));
+    EXPECT_EQ(dramReads(), after) << "a neighbour-set line was evicted";
+    EXPECT_EQ(l2b.trackedLines(), 2 * assoc + 1);
+}
+
 TEST_F(CacheFixture, ConcurrentMixedTrafficCompletes)
 {
     // Property-style smoke: many interleaved reads/writes from two L1s to

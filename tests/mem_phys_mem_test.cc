@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for sparse functional physical memory.
+ * Tests for sparse functional physical memory: zero semantics, chunk
+ * boundaries, and that only writes create backing chunks.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -89,6 +91,62 @@ TEST(PhysMem, FillSetsRange)
     m.read(400, &after, 1);
     EXPECT_EQ(before, 0);
     EXPECT_EQ(after, 0);
+}
+
+TEST(PhysMem, ReadingUnwrittenMemoryCreatesNoChunk)
+{
+    PhysMem m(8ull << 20);
+    // A read spanning four never-written chunks returns zeros.
+    std::vector<std::uint8_t> buf(3ull << 20, 0xff);
+    m.read(512 * 1024, buf.data(), buf.size());
+    EXPECT_TRUE(std::all_of(buf.begin(), buf.end(),
+                            [](std::uint8_t b) { return b == 0; }));
+    EXPECT_EQ(m.readT<std::uint64_t>((8ull << 20) - 8), 0u);
+    // Zeroing memory that already reads as zero, and an atomic that
+    // fails its compare, leave it unwritten too.
+    m.fill(0, 0, 2ull << 20);
+    EXPECT_EQ(m.compareSwap64(64, 1, 2), 0u);
+    EXPECT_EQ(m.chunksCreated(), 0u);
+}
+
+TEST(PhysMem, WritesCreateOnlyTheChunksTheyTouch)
+{
+    PhysMem m(8ull << 20);
+    std::vector<std::uint8_t> src(200);
+    for (std::size_t i = 0; i < src.size(); ++i)
+        src[i] = static_cast<std::uint8_t>(i + 1);
+    const std::uint64_t addr = (3ull << 20) - 100; // chunks 2 and 3
+    m.write(addr, src.data(), src.size());
+    EXPECT_EQ(m.chunksCreated(), 2u);
+
+    std::vector<std::uint8_t> dst(src.size() + 2);
+    m.read(addr - 1, dst.data(), dst.size());
+    EXPECT_EQ(dst.front(), 0);
+    EXPECT_EQ(dst.back(), 0);
+    EXPECT_TRUE(std::equal(src.begin(), src.end(), dst.begin() + 1));
+    EXPECT_EQ(m.chunksCreated(), 2u);
+}
+
+TEST(PhysMem, FillAndAtomicsWorkOnFreshChunks)
+{
+    PhysMem m(4ull << 20);
+    EXPECT_EQ(m.fetchAdd64(1ull << 20, 5), 0u);
+    EXPECT_EQ(m.readT<std::uint64_t>(1ull << 20), 5u);
+    EXPECT_EQ(m.compareSwap64(2ull << 20, 0, 9), 0u);
+    EXPECT_EQ(m.readT<std::uint64_t>(2ull << 20), 9u);
+
+    // A fill crossing from chunk 2 into the fresh chunk 3.
+    const std::uint64_t addr = (3ull << 20) - 10;
+    m.fill(addr, 0x5a, 20);
+    EXPECT_EQ(m.chunksCreated(), 3u);
+    for (std::uint64_t a = addr; a < addr + 20; ++a)
+        EXPECT_EQ(m.readT<std::uint8_t>(a), 0x5a) << a;
+    EXPECT_EQ(m.readT<std::uint8_t>(addr + 20), 0);
+
+    // Zeroing written bytes does write.
+    m.fill(addr, 0, 20);
+    for (std::uint64_t a = addr; a < addr + 20; ++a)
+        EXPECT_EQ(m.readT<std::uint8_t>(a), 0) << a;
 }
 
 TEST(PhysMemDeathTest, OutOfRangePanics)

@@ -4,7 +4,8 @@
  * of the simulation core. This binary overrides global operator
  * new/delete to count heap allocations, warms each subsystem up, and
  * then asserts that the steady-state event loop, coroutine spawn cycle,
- * and fabric message path perform zero allocations per event.
+ * and fabric message path perform zero allocations per event. It also
+ * counts heap bytes, to bound what building a cluster costs per node.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "api/testbed.hh"
 #include "fabric/crossbar.hh"
 #include "fabric/fabric.hh"
 #include "mem/cache.hh"
@@ -22,11 +24,13 @@
 #include "sim/task.hh"
 
 static std::uint64_t g_allocCount = 0;
+static std::uint64_t g_allocBytes = 0;
 
 void *
 operator new(std::size_t n)
 {
     ++g_allocCount;
+    g_allocBytes += n;
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -246,6 +250,31 @@ TEST(AllocCounting, SteadyStateFabricPathIsAllocationFree)
     EXPECT_EQ(g_allocCount - a0, 0u)
         << "warmed fabric send/deliver path must not allocate";
     EXPECT_EQ(received, 5'000u);
+}
+
+TEST(AllocCounting, ClusterBuildHeapFollowsTheWorkingSet)
+{
+    // Heap bytes requested while a 64-node 4x4x4 torus with 1 MiB
+    // segments is built: the read-stream-64 benchmark cell. The count
+    // is deterministic (871,909 B per node); the bound is about 2x
+    // that, so a structure sized from a configured capacity (a
+    // presized directory, reserved waiter lists) instead of the lines
+    // a run touches fails here. Simulated memory lives outside the
+    // heap: the build writes one 1 MiB chunk per node (kernel
+    // structures and page tables); zero-filling the fresh segment
+    // creates none.
+    constexpr std::uint32_t kNodes = 64;
+    constexpr std::uint64_t kBoundBytesPerNode = 1'750'000;
+    const std::uint64_t b0 = g_allocBytes;
+    api::TestBed bed(api::ClusterSpec{}
+                         .nodes(kNodes)
+                         .torus(4, 4, 4)
+                         .segmentPerNode(1ull << 20));
+    const std::uint64_t perNode = (g_allocBytes - b0) / kNodes;
+    EXPECT_LE(perNode, kBoundBytesPerNode)
+        << "cluster build heap per node grew; measured " << perNode;
+    for (std::uint32_t n = 0; n < kNodes; ++n)
+        EXPECT_LE(bed.node(n).phys().chunksCreated(), 1u) << n;
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * sim::FlatMap unit tests: the open-addressed map behind the L2
- * directory. Correctness across insert/find/erase/tombstone reuse and
- * growth, plus the steady-state no-allocation contract it exists for.
+ * directory. Correctness across insert/find/backward-shift erase and
+ * growth, plus the fixed-capacity-under-churn contract it exists for.
  */
 
 #include <gtest/gtest.h>
@@ -39,13 +39,14 @@ TEST(FlatMap, InsertFindEraseBasics)
     EXPECT_TRUE(m.empty());
 }
 
-TEST(FlatMap, GrowthAndTombstonesAgreeWithReferenceMap)
+TEST(FlatMap, GrowthAndEraseAgreeWithReferenceMap)
 {
     FlatMap<std::uint64_t, std::uint64_t> m(4);
     std::unordered_map<std::uint64_t, std::uint64_t> ref;
 
     // Cache-line-like keys (64-byte strides) with interleaved erases:
-    // the exact pattern that exercises tombstone reuse under probing.
+    // erases land in the middle of probe runs, so the entries behind
+    // them must shift back without getting lost.
     for (std::uint64_t i = 0; i < 4000; ++i) {
         const std::uint64_t key = (i * 64) ^ ((i % 7) << 20);
         m.insert(key, i);
@@ -63,23 +64,78 @@ TEST(FlatMap, GrowthAndTombstonesAgreeWithReferenceMap)
     }
 }
 
+TEST(FlatMap, RandomChurnOnADenseTableAgreesWithReferenceMap)
+{
+    // Few slots, long probe runs that wrap past the end of the slot
+    // array: every backward shift on erase is checked against a
+    // reference after each operation.
+    FlatMap<std::uint64_t, std::uint64_t> m;
+    std::unordered_map<std::uint64_t, std::uint64_t> ref;
+    std::uint64_t x = 12345;
+    const auto next = [&x] {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        return x >> 33;
+    };
+    constexpr std::uint64_t kKeys = 40;
+    for (std::uint64_t op = 0; op < 50'000; ++op) {
+        const std::uint64_t key = next() % kKeys;
+        if (next() % 2) {
+            m.insert(key, op);
+            ref[key] = op;
+        } else {
+            ASSERT_EQ(m.erase(key), ref.erase(key) == 1) << op;
+        }
+        ASSERT_EQ(m.size(), ref.size());
+        for (std::uint64_t k = 0; k < kKeys; ++k) {
+            const auto it = ref.find(k);
+            const std::uint64_t *v = m.find(k);
+            ASSERT_EQ(v != nullptr, it != ref.end()) << op << " " << k;
+            if (v) {
+                ASSERT_EQ(*v, it->second);
+            }
+        }
+    }
+    // 40 keys never pass 0.7 of 64 slots.
+    EXPECT_EQ(m.capacity(), 64u);
+}
+
 TEST(FlatMap, SteadyStateChurnDoesNotGrowStorage)
 {
+    // Erase/insert churn over a fixed working set.
     FlatMap<std::uint64_t, int> m;
     for (std::uint64_t i = 0; i < 64; ++i)
         m.insert(i * 64, 1);
-    // Erase/insert churn over a fixed working set must stabilize: the
-    // map's job is exactly to absorb this without touching the
-    // allocator (verified end-to-end under the alloc-counting hook in
-    // session_stress_test; here we pin the size bookkeeping).
+    const std::size_t cap = m.capacity();
     for (int round = 0; round < 1000; ++round) {
         const std::uint64_t k = std::uint64_t(round % 64) * 64;
         EXPECT_TRUE(m.erase(k));
         m.insert(k, round);
         EXPECT_EQ(m.size(), 64u);
     }
+    EXPECT_EQ(m.capacity(), cap);
     for (std::uint64_t i = 0; i < 64; ++i)
         EXPECT_NE(m.find(i * 64), nullptr);
+
+    // FIFO churn over distinct keys: a window of 32 live keys slides
+    // across 200k fresh ones, the pattern of L2 replacement and of the
+    // RRPP dedup window. The table must keep the size the live window
+    // needs; erased slots must not count toward its load.
+    constexpr std::uint64_t kLive = 32;
+    FlatMap<std::uint64_t, std::uint64_t> fifo;
+    for (std::uint64_t k = 0; k < kLive; ++k)
+        fifo.insert(k * 64, k);
+    const std::size_t fifoCap = fifo.capacity();
+    for (std::uint64_t k = kLive; k < 200'000; ++k) {
+        ASSERT_TRUE(fifo.erase((k - kLive) * 64));
+        fifo.insert(k * 64, k);
+    }
+    EXPECT_EQ(fifo.capacity(), fifoCap);
+    EXPECT_EQ(fifo.size(), kLive);
+    for (std::uint64_t k = 200'000 - kLive; k < 200'000; ++k) {
+        ASSERT_NE(fifo.find(k * 64), nullptr) << k;
+        EXPECT_EQ(*fifo.find(k * 64), k);
+    }
+    EXPECT_EQ(fifo.find((200'000 - kLive - 1) * 64), nullptr);
 }
 
 } // namespace
