@@ -7,10 +7,34 @@
 
 #include <algorithm>
 #include <cassert>
+#include <sstream>
+#include <string>
 
 #include "sim/log.hh"
 
 namespace sonuma::mem {
+
+namespace {
+
+/** Hex address of a line, for diagnostics. */
+std::string
+hexLine(LineKey key)
+{
+    std::ostringstream os;
+    os << std::hex << lineAddr(key);
+    return os.str();
+}
+
+/** Sets of a cache geometry; 0 when it cannot hold one full set. */
+std::uint32_t
+setsOf(std::uint64_t sizeBytes, std::uint32_t assoc)
+{
+    return assoc ? static_cast<std::uint32_t>(
+                       sizeBytes / sim::kCacheLineBytes / assoc)
+                 : 0;
+}
+
+} // namespace
 
 //
 // ------------------------------- L1 -----------------------------------
@@ -25,9 +49,10 @@ L1Cache::L1Cache(sim::EventQueue &eq, sim::StatRegistry &stats,
       probes_(stats, name_ + ".probes", "coherence probes received"),
       upgrades_(stats, name_ + ".upgrades", "S->M upgrade requests")
 {
-    const std::uint64_t lines = params_.sizeBytes / sim::kCacheLineBytes;
-    numSets_ = static_cast<std::uint32_t>(lines / params_.assoc);
-    assert(numSets_ > 0 && "L1 too small for its associativity");
+    numSets_ = setsOf(params_.sizeBytes, params_.assoc);
+    if (numSets_ == 0)
+        sim::fatal(name_ + ": an L1 must hold at least one set of assoc "
+                           "lines (see node::validate)");
     sets_.resize(std::size_t(numSets_) * params_.assoc);
     mshrs_.resize(params_.mshrs);
     // Waiter lists and the fill scratch reserve nothing: each grows to
@@ -271,82 +296,114 @@ L1Cache::handleProbe(PAddr line, bool invalidate)
 }
 
 //
+// ----------------------------- SetFill ---------------------------------
+//
+
+SetFill::SetFill(std::uint32_t numSets, std::uint32_t assoc)
+    : assoc_(assoc), ways_(std::size_t(numSets) * assoc), count_(numSets)
+{
+}
+
+void
+SetFill::install(std::uint32_t set, LineKey key)
+{
+    if (count_[set] < assoc_)
+        ways_[std::size_t(set) * assoc_ + count_[set]++] = key;
+    else
+        overflow_.push_back(Overflow{set, key});
+}
+
+void
+SetFill::erase(std::uint32_t set, LineKey key)
+{
+    LineKey *ways = &ways_[std::size_t(set) * assoc_];
+    std::uint32_t &count = count_[set];
+    auto ofSet = [set](const Overflow &o) { return o.set == set; };
+    LineKey *way = std::find(ways, ways + count, key);
+    if (way != ways + count) {
+        std::copy(way + 1, ways + count, way);
+        // The set's oldest surplus line takes the freed last way.
+        auto oldest =
+            std::find_if(overflow_.begin(), overflow_.end(), ofSet);
+        if (oldest == overflow_.end()) {
+            --count;
+        } else {
+            ways[count - 1] = oldest->key;
+            overflow_.erase(oldest);
+        }
+        return;
+    }
+    auto it = std::find_if(overflow_.begin(), overflow_.end(),
+                           [&](const Overflow &o) {
+                               return ofSet(o) && o.key == key;
+                           });
+    if (it == overflow_.end())
+        sim::panic("SetFill: erase of line 0x" + hexLine(key) +
+                   " that is not in set " + std::to_string(set));
+    overflow_.erase(it);
+}
+
+//
 // ------------------------------- L2 -----------------------------------
 //
 
 L2Cache::L2Cache(sim::EventQueue &eq, sim::StatRegistry &stats,
                  std::string name, const Params &params, DramChannel &dram)
     : eq_(eq), name_(std::move(name)), params_(params), dram_(dram),
+      numSets_(setsOf(params_.sizeBytes, params_.assoc)),
+      fill_(numSets_, params_.assoc),
       hits_(stats, name_ + ".hits", "L2 hits"),
       misses_(stats, name_ + ".misses", "L2 misses"),
       c2c_(stats, name_ + ".c2cTransfers", "cache-to-cache transfers"),
       evictions_(stats, name_ + ".evictions", "L2 evictions"),
       dramRetries_(stats, name_ + ".dramRetries", "DRAM queue-full retries")
 {
-    const std::uint64_t lines = params_.sizeBytes / sim::kCacheLineBytes;
-    numSets_ = static_cast<std::uint32_t>(lines / params_.assoc);
-    assert(numSets_ > 0);
-    setFill_.resize(numSets_);
-    // A set's fill list tops out at the associativity; reserving it now
-    // keeps first-touch line installs off the allocator, also for sets
-    // a run first touches after warm-up. (Concurrent misses to one set
-    // can push a list past the associativity; it then grows.)
-    for (auto &f : setFill_)
-        f.reserve(params_.assoc);
+    if (numSets_ == 0)
+        sim::fatal(name_ + ": an L2 must hold at least one set of assoc "
+                           "lines (see node::validate)");
     // The directory is not presized: it grows with the lines the run
-    // touches, a warm-up cost.
+    // touches, a warm-up cost. The fill order is flat, one way array
+    // for every set, so first-touch installs never allocate.
 }
 
 int
 L2Cache::registerL1(L1Cache *l1)
 {
+    if (l1s_.size() == 32)
+        sim::fatal(name_ + ": the directory's sharer bitmask holds 32 "
+                           "L1s; a 33rd cannot attach");
     l1s_.push_back(l1);
-    assert(l1s_.size() <= 32 && "directory bitmask limited to 32 L1s");
     // Grow the lock table past this L1's worst-case contribution to
     // concurrent transactions (its MSHRs plus in-flight putbacks), so
     // steady-state locking never constructs a new entry whatever the
-    // core count or MSHR depth.
-    locks_.resize(locks_.size() + 2 * l1->params_.mshrs);
+    // core count or MSHR depth. Only that many misses can race past a
+    // set's capacity check at once, so the same bound reserves the
+    // fill order's overflow list.
+    const std::size_t first = locks_.size();
+    locks_.resize(first + 2 * std::size_t(l1->params_.mshrs));
+    for (std::size_t i = locks_.size(); i-- > first;)
+        freeLocks_.push_back(static_cast<std::uint32_t>(i));
+    lockIndex_.reserve(locks_.size());
+    fill_.reserveOverflow(locks_.size());
     return static_cast<int>(l1s_.size()) - 1;
-}
-
-std::uint32_t
-L2Cache::setOf(PAddr line) const
-{
-    return static_cast<std::uint32_t>((line / sim::kCacheLineBytes) %
-                                      numSets_);
-}
-
-L2Cache::LockEntry *
-L2Cache::findLock(PAddr line)
-{
-    for (auto &e : locks_) {
-        if (e.inUse && e.line == line)
-            return &e;
-    }
-    return nullptr;
 }
 
 bool
 L2Cache::lockLine(PAddr line, PendingReq req)
 {
-    if (LockEntry *held = findLock(line)) {
-        held->waiting.push(std::move(req));
+    const LineKey key = lineKey(line);
+    if (const std::uint32_t *held = lockIndex_.find(key)) {
+        locks_[*held].waiting.push(std::move(req));
         return false;
     }
-    LockEntry *free = nullptr;
-    for (auto &e : locks_) {
-        if (!e.inUse) {
-            free = &e;
-            break;
-        }
-    }
-    if (!free) {
+    if (freeLocks_.empty()) {
+        // Past the registerL1 bound (not reached by any known traffic):
+        // grow rather than fail.
+        freeLocks_.push_back(static_cast<std::uint32_t>(locks_.size()));
         locks_.emplace_back();
-        free = &locks_.back();
     }
-    free->inUse = true;
-    free->line = line;
+    lockIndex_.insert(key, freeLocks_.back());
+    freeLocks_.pop_back();
     const std::uint32_t slot =
         reqSlots_.put(ParkedReq{line, std::move(req)});
     eq_.scheduleAfter(params_.latency(),
@@ -364,15 +421,20 @@ L2Cache::fireProcess(std::uint32_t slot)
 void
 L2Cache::unlockLine(PAddr line)
 {
-    LockEntry *held = findLock(line);
-    assert(held && "unlock of a line that was never locked");
-    if (held->waiting.empty()) {
-        held->inUse = false; // slot recycles for the next locked line
+    const LineKey key = lineKey(line);
+    const std::uint32_t *held = lockIndex_.find(key);
+    if (!held)
+        sim::panic(name_ + ": unlock of line 0x" + hexLine(key) +
+                   " that is not locked");
+    LockEntry &entry = locks_[*held];
+    if (entry.waiting.empty()) {
+        freeLocks_.push_back(*held); // recycles for the next locked line
+        lockIndex_.erase(key);
         return;
     }
-    // Hand the lock straight to the next waiter (the entry stays
-    // inUse), scheduling its processing exactly as lockLine would.
-    PendingReq next = held->waiting.popFront();
+    // Hand the lock straight to the next waiter (the line stays
+    // locked), scheduling its processing exactly as lockLine would.
+    PendingReq next = entry.waiting.popFront();
     const std::uint32_t slot =
         reqSlots_.put(ParkedReq{line, std::move(next)});
     eq_.scheduleAfter(params_.latency(),
@@ -396,7 +458,7 @@ L2Cache::putback(int requester, PAddr line)
 void
 L2Cache::process(PAddr line, PendingReq req)
 {
-    DirEntry *entry = lines_.find(line);
+    DirEntry *entry = lines_.find(lineKey(line));
 
     if (req.isPutback) {
         if (entry && entry->owner == req.requester) {
@@ -444,15 +506,16 @@ L2Cache::installLine(PAddr line, std::uint32_t slot)
     DirEntry entry;
     entry.lastUse = eq_.now();
     entry.dirtyInL2 = parked.req.fullLine; // write-validate allocation
-    lines_.insert(line, entry);
-    setFill_[setOf(line)].push_back(line);
+    const LineKey key = lineKey(line);
+    lines_.insert(key, entry);
+    fill_.install(setOf(key), key);
     finishRequest(line, parked.req);
 }
 
 void
 L2Cache::finishRequest(PAddr line, PendingReq &req)
 {
-    DirEntry &dir = lines_.get(line);
+    DirEntry &dir = lines_.get(lineKey(line));
     dir.lastUse = eq_.now();
 
     bool probed = false;
@@ -473,7 +536,7 @@ L2Cache::finishRequest(PAddr line, PendingReq &req)
             }
         }
         dir.sharers = 0;
-        dir.owner = req.requester;
+        dir.owner = static_cast<std::int8_t>(req.requester);
     } else {
         // GetS: downgrade a remote owner if present.
         if (dir.owner != -1 && dir.owner != req.requester) {
@@ -510,26 +573,26 @@ L2Cache::fireCompletion(std::uint32_t slot)
 void
 L2Cache::ensureCapacity(PAddr line, std::uint32_t slot)
 {
-    auto &fill = setFill_[setOf(line)];
-    if (fill.size() < params_.assoc) {
+    const std::uint32_t set = setOf(lineKey(line));
+    if (!fill_.full(set)) {
         fillMissingLine(line, slot);
         return;
     }
 
     // Evict the LRU line in the set that is not locked or awaited.
-    PAddr victim = 0;
+    LineKey victim = 0;
     bool found = false;
     sim::Tick best = 0;
-    for (PAddr cand : fill) {
-        if (findLock(cand))
-            continue;
+    fill_.forEach(set, [&](LineKey cand) {
+        if (lockIndex_.find(cand))
+            return;
         const sim::Tick use = lines_.get(cand).lastUse;
         if (!found || use < best) {
             victim = cand;
             best = use;
             found = true;
         }
-    }
+    });
     if (!found) {
         // Every line in the set is mid-transaction; retry shortly.
         eq_.scheduleAfter(params_.latency(), [this, line, slot] {
@@ -539,19 +602,20 @@ L2Cache::ensureCapacity(PAddr line, std::uint32_t slot)
     }
 
     evictions_.inc();
+    const PAddr victimLine = lineAddr(victim);
     DirEntry &dir = lines_.get(victim);
     // Inclusive hierarchy: back-invalidate all L1 copies.
     for (std::size_t i = 0; i < l1s_.size(); ++i) {
         const std::uint32_t bit = 1u << i;
         const bool holds = (dir.sharers & bit) ||
                            dir.owner == static_cast<int>(i);
-        if (holds && l1s_[i]->handleProbe(victim, true))
+        if (holds && l1s_[i]->handleProbe(victimLine, true))
             dir.dirtyInL2 = true;
     }
     if (dir.dirtyInL2)
-        writebackToDram(victim);
+        writebackToDram(victimLine);
     lines_.erase(victim);
-    fill.erase(std::find(fill.begin(), fill.end(), victim));
+    fill_.erase(set, victim);
     fillMissingLine(line, slot);
 }
 

@@ -35,6 +35,83 @@ namespace sonuma::mem {
 
 class L2Cache;
 
+/** A cache line as a 32-bit index (address >> 6); see node::validate. */
+using LineKey = std::uint32_t;
+
+inline LineKey
+lineKey(PAddr line)
+{
+    return static_cast<LineKey>(line / sim::kCacheLineBytes);
+}
+
+inline PAddr
+lineAddr(LineKey key)
+{
+    return PAddr(key) * sim::kCacheLineBytes;
+}
+
+/**
+ * Fill order of every set of a set-associative cache, in one flat
+ * array. Set s keeps its oldest `assoc` lines in ways [s * assoc, ...),
+ * count_[s] of them valid, oldest first.
+ *
+ * Concurrent misses to one set can each pass the L2's capacity check
+ * before any of them installs, so a set may hold more than `assoc`
+ * lines — and keeps the surplus, since replacement then evicts one
+ * line per miss. The surplus lines of every set wait in one shared
+ * overflow list, in install order; a set has overflow lines only while
+ * all its ways are valid. Erasing a way shifts the later ways down and
+ * moves the set's oldest overflow line into its last way. forEach()
+ * therefore visits a set's lines in install order, the order in which
+ * LRU replacement breaks ties.
+ */
+class SetFill
+{
+  public:
+    SetFill(std::uint32_t numSets, std::uint32_t assoc);
+
+    /** Reserve overflow room for @p n lines (sized by the caller). */
+    void reserveOverflow(std::size_t n) { overflow_.reserve(n); }
+
+    /** True when all `assoc` ways of @p set hold lines. */
+    bool full(std::uint32_t set) const { return count_[set] == assoc_; }
+
+    /** Lines waiting in the overflow list, over all sets. */
+    std::size_t overflowSize() const { return overflow_.size(); }
+
+    /** Append @p key as the newest line of @p set. */
+    void install(std::uint32_t set, LineKey key);
+
+    /** Remove @p key from @p set; panics if the set does not hold it. */
+    void erase(std::uint32_t set, LineKey key);
+
+    /** Call @p visit(key) for every line of @p set, oldest first. */
+    template <typename F>
+    void
+    forEach(std::uint32_t set, F &&visit) const
+    {
+        const LineKey *ways = &ways_[std::size_t(set) * assoc_];
+        for (std::uint32_t w = 0; w < count_[set]; ++w)
+            visit(ways[w]);
+        for (const Overflow &o : overflow_) {
+            if (o.set == set)
+                visit(o.key);
+        }
+    }
+
+  private:
+    struct Overflow
+    {
+        std::uint32_t set;
+        LineKey key;
+    };
+
+    std::uint32_t assoc_;
+    std::vector<LineKey> ways_;        //!< [set * assoc + way]
+    std::vector<std::uint32_t> count_; //!< valid ways per set
+    std::vector<Overflow> overflow_;   //!< surplus lines, install order
+};
+
 /** Cache geometry/timing configuration. */
 struct CacheParams
 {
@@ -268,13 +345,18 @@ class L2Cache
     const Params &params() const { return params_; }
 
   private:
+    /**
+     * Directory state of one resident line: 16 B, so a directory slot
+     * (with its 32-bit line key and fill flag) is 24 B.
+     */
     struct DirEntry
     {
-        std::uint32_t sharers = 0; //!< bitmask over L1 ids
-        int owner = -1;            //!< L1 id holding M, or -1
-        bool dirtyInL2 = false;
         sim::Tick lastUse = 0;
+        std::uint32_t sharers = 0; //!< bitmask over L1 ids (<= 32)
+        std::int8_t owner = -1;    //!< L1 id holding M, or -1
+        bool dirtyInL2 = false;
     };
+    static_assert(sizeof(DirEntry) == 16);
 
     struct PendingReq
     {
@@ -292,30 +374,32 @@ class L2Cache
     std::vector<L1Cache *> l1s_;
 
     std::uint32_t numSets_;
-    // Inclusive tag+directory state, keyed by line address. A line present
-    // here is present in the L2; set occupancy enforced via setFill_.
+    // Inclusive tag+directory state, keyed by line index. A line present
+    // here is present in the L2 and in its set's fill order (fill_).
     // Flat map, not unordered_map: directory inserts happen on every
     // cold line and must not churn heap nodes once the working set is
     // resident. It grows with the lines the run touches and stays put
     // under replacement (erase leaves no tombstones).
-    sim::FlatMap<PAddr, DirEntry> lines_;
-    std::vector<std::vector<PAddr>> setFill_; //!< lines per set (for LRU)
+    sim::FlatMap<LineKey, DirEntry> lines_;
+    SetFill fill_; //!< per-set install order, for LRU replacement
 
     /**
-     * Per-line transaction serialization. Concurrently locked lines are
-     * bounded by in-flight transactions (MSHRs x L1s), so a compact
-     * linear-scanned table replaces the old unordered set+map pair,
-     * whose node churn allocated on every single transaction. Freed
-     * entries (inUse = false) are recycled; each waiting ring keeps its
-     * capacity.
+     * Per-line transaction serialization. lockIndex_ maps a locked
+     * line to its entry in locks_; unlocked entries wait on freeLocks_.
+     * Concurrently locked lines are bounded by in-flight transactions,
+     * so registerL1 sizes all three for each L1's MSHRs plus as many
+     * in-flight putbacks: locking, unlocking and the replacement scan's
+     * "is this line locked?" are O(1) and never allocate in steady
+     * state. A lock entry keeps its waiting ring's capacity across
+     * reuse.
      */
     struct LockEntry
     {
-        bool inUse = false;
-        PAddr line = 0;
         sim::RingBuffer<PendingReq> waiting{2};
     };
     std::vector<LockEntry> locks_;
+    std::vector<std::uint32_t> freeLocks_;
+    sim::FlatMap<LineKey, std::uint32_t> lockIndex_;
 
     sim::Counter hits_;
     sim::Counter misses_;
@@ -336,8 +420,7 @@ class L2Cache
 
     sim::SlotPool<ParkedReq> reqSlots_;
 
-    std::uint32_t setOf(PAddr line) const;
-    LockEntry *findLock(PAddr line);
+    std::uint32_t setOf(LineKey key) const { return key % numSets_; }
     bool lockLine(PAddr line, PendingReq req);
     void unlockLine(PAddr line);
     void process(PAddr line, PendingReq req);

@@ -27,6 +27,40 @@ dimsString(const std::vector<std::uint32_t> &dims)
     return out;
 }
 
+/** A cache must hold at least one set of `assoc` lines. */
+void
+validateCache(const char *which, std::uint64_t sizeBytes,
+              std::uint32_t assoc)
+{
+    if (assoc == 0 || sizeBytes / sim::kCacheLineBytes < assoc)
+        throw std::invalid_argument(
+            std::string("ClusterParams: ") + which + " of " +
+            std::to_string(sizeBytes) + " B with assoc " +
+            std::to_string(assoc) + " holds no full set; it needs "
+            "assoc >= 1 and at least assoc 64-B lines");
+}
+
+/** Node geometry the cache hierarchy's fixed-width fields rely on. */
+void
+validateNode(const NodeParams &node)
+{
+    // One directory bit per L1: the cores' plus the RMC's.
+    if (node.cores > 31)
+        throw std::invalid_argument(
+            "ClusterParams: cores " + std::to_string(node.cores) +
+            " plus the RMC's L1 exceed the 32 L1s an L2 directory "
+            "sharer bitmask holds; use at most 31 cores");
+    validateCache("l1", node.l1.sizeBytes, node.l1.assoc);
+    validateCache("l2", node.l2.sizeBytes, node.l2.assoc);
+    // The L2 keys its directory, fill order and locks by 32-bit line
+    // index.
+    if (node.physMemBytes / sim::kCacheLineBytes > (1ull << 32))
+        throw std::invalid_argument(
+            "ClusterParams: physMemBytes " +
+            std::to_string(node.physMemBytes) + " spans more than 2^32 "
+            "64-B lines, the range of the caches' 32-bit line keys");
+}
+
 } // namespace
 
 void
@@ -35,6 +69,7 @@ validate(const ClusterParams &params)
     if (params.nodes == 0)
         throw std::invalid_argument(
             "ClusterParams: nodes must be >= 1 (got 0)");
+    validateNode(params.node);
     rmc::validate(params.node.rmc);
     if (params.topology == Topology::kCrossbar &&
         params.torus.routing == fab::RoutingMode::kAdaptive)

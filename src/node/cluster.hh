@@ -48,9 +48,12 @@ struct ClusterParams
 
 /**
  * Eager configuration check: throws std::invalid_argument with a
- * precise message on nodes == 0 or torus dims whose product differs
+ * precise message on nodes == 0, torus dims whose product differs
  * from the node count (instead of misbehaving deep in fab::Torus
- * routing). Called by the Cluster constructor; also usable directly.
+ * routing), or a node geometry the cache hierarchy cannot represent:
+ * more than 31 cores (the RMC's L1 takes the 32nd directory bit), an
+ * L1 or L2 without one full set, or physical memory past 2^32 lines.
+ * Called by the Cluster constructor; also usable directly.
  */
 void validate(const ClusterParams &params);
 

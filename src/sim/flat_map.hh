@@ -48,6 +48,21 @@ class FlatMap
     /** Number of slots; changes only when live entries pass 0.7 of it. */
     std::size_t capacity() const { return slots_.size(); }
 
+    /**
+     * Size the table so that @p n live entries never grow it: a table
+     * whose bound is known up front pays its one rehash here, not on
+     * a hot path.
+     */
+    void
+    reserve(std::size_t n)
+    {
+        std::size_t cap = slots_.size();
+        while (n * 10 >= cap * 7)
+            cap *= 2;
+        if (cap != slots_.size())
+            rehash(cap);
+    }
+
     /** Pointer to the mapped value, or nullptr. */
     V *
     find(const K &key)
@@ -159,9 +174,14 @@ class FlatMap
     void
     maybeGrow()
     {
-        if ((full_ + 1) * 10 < slots_.size() * 7)
-            return;
-        std::vector<Slot> old(slots_.size() * 2);
+        if ((full_ + 1) * 10 >= slots_.size() * 7)
+            rehash(slots_.size() * 2);
+    }
+
+    void
+    rehash(std::size_t cap)
+    {
+        std::vector<Slot> old(cap);
         old.swap(slots_);
         full_ = 0;
         for (Slot &s : old) {

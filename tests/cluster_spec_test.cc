@@ -92,6 +92,65 @@ TEST(ClusterParamsValidation, ZeroRadixMessagePrintsTheDimsVector)
     }
 }
 
+TEST(ClusterParamsValidation, CoresBeyondTheSharerBitmaskRejected)
+{
+    // The L2 directory holds one sharer bit per L1: 31 cores plus the
+    // RMC's L1 fill all 32.
+    node::ClusterParams p;
+    p.node.cores = 31;
+    EXPECT_NO_THROW(node::validate(p));
+    p.node.cores = 32;
+    try {
+        node::validate(p);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("cores 32"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ClusterParamsValidation, CachesWithoutOneFullSetRejected)
+{
+    auto expectRejected = [](node::ClusterParams p, const char *needle) {
+        try {
+            node::validate(p);
+            FAIL() << "expected std::invalid_argument for " << needle;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+                << e.what();
+        }
+    };
+    node::ClusterParams p;
+    p.node.l1.sizeBytes = 64; // one line, 2-way: no full set
+    expectRejected(p, "l1 of 64 B with assoc 2");
+    p = {};
+    p.node.l1.assoc = 0;
+    expectRejected(p, "assoc 0");
+    p = {};
+    p.node.l2.sizeBytes = 8 * 64; // 8 lines, 16-way
+    expectRejected(p, "l2 of 512 B with assoc 16");
+    p = {};
+    p.node.l2.sizeBytes = 16 * 64; // exactly one set
+    EXPECT_NO_THROW(node::validate(p));
+}
+
+TEST(ClusterParamsValidation, PhysMemBeyond32BitLineKeysRejected)
+{
+    node::ClusterParams p;
+    p.node.physMemBytes = (1ull << 32) * 64; // exactly 2^32 lines
+    EXPECT_NO_THROW(node::validate(p));
+    p.node.physMemBytes += 64;
+    try {
+        node::validate(p);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      std::to_string(p.node.physMemBytes)),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ClusterParamsValidation, DeriveCapacitiesScalesIttAndEjectRing)
 {
     node::ClusterParams p;

@@ -3,17 +3,21 @@
  * Tests for the coherent cache hierarchy: hit/miss timing, MSHR merging
  * and limits, upgrades, cache-to-cache transfers (the mechanism behind
  * the paper's low-latency queue-pair polling), writebacks, inclusion,
- * and probe/writeback races.
+ * and probe/writeback races; the flat L2 fill order against the
+ * list-per-set layout it replaced.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <unordered_map>
 #include <vector>
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 #include "sim/stats.hh"
 
 namespace {
@@ -260,6 +264,180 @@ TEST_F(CacheFixture, ConcurrentMissesOverfillOnlyTheirOwnL2Set)
         read(setB(i));
     EXPECT_EQ(dramReads(), after) << "a neighbour-set line was evicted";
     EXPECT_EQ(l2b.trackedLines(), 2 * assoc + 1);
+}
+
+//
+// SetFill against a reference list per set (the L2's former layout).
+// The L2 evicts the first least-recently-used unlocked line in fill
+// order, so equal candidate order means an equal victim, ties included.
+//
+struct FillVsReference
+{
+    FillVsReference(std::uint32_t s, std::uint32_t a)
+        : sets(s), assoc(a), fill(s, a), ref(s)
+    {
+    }
+
+    std::uint32_t sets;
+    std::uint32_t assoc;
+    mem::SetFill fill;
+    std::vector<std::vector<mem::PAddr>> ref;
+    std::unordered_map<mem::LineKey, Tick> lastUse;
+    std::unordered_map<mem::LineKey, bool> locked;
+
+    std::vector<mem::PAddr>
+    candidates(std::uint32_t set) const
+    {
+        std::vector<mem::PAddr> out;
+        fill.forEach(set, [&](mem::LineKey k) {
+            out.push_back(mem::lineAddr(k));
+        });
+        return out;
+    }
+
+    /** First unlocked line of least lastUse, as L2 replacement picks. */
+    template <typename Lines>
+    bool
+    lruVictim(const Lines &lines, mem::PAddr &victim) const
+    {
+        bool found = false;
+        Tick best = 0;
+        for (mem::PAddr line : lines) {
+            const mem::LineKey k = mem::lineKey(line);
+            if (locked.at(k))
+                continue;
+            if (!found || lastUse.at(k) < best) {
+                victim = line;
+                best = lastUse.at(k);
+                found = true;
+            }
+        }
+        return found;
+    }
+
+    void
+    install(std::uint32_t set, mem::PAddr line, Tick use)
+    {
+        fill.install(set, mem::lineKey(line));
+        ref[set].push_back(line);
+        lastUse[mem::lineKey(line)] = use;
+        locked[mem::lineKey(line)] = false;
+    }
+
+    /** Evict the set's LRU victim from both; false if all are locked. */
+    bool
+    evict(std::uint32_t set)
+    {
+        mem::PAddr fromFill = 0, fromRef = 0;
+        const bool found = lruVictim(candidates(set), fromFill);
+        EXPECT_EQ(found, lruVictim(ref[set], fromRef));
+        if (!found)
+            return false;
+        EXPECT_EQ(fromFill, fromRef);
+        fill.erase(set, mem::lineKey(fromFill));
+        auto &r = ref[set];
+        r.erase(std::find(r.begin(), r.end(), fromRef));
+        return true;
+    }
+
+    void
+    expectSameOrder() const
+    {
+        for (std::uint32_t s = 0; s < sets; ++s) {
+            ASSERT_EQ(candidates(s), ref[s]) << "set " << s;
+            ASSERT_EQ(fill.full(s), ref[s].size() >= assoc);
+        }
+    }
+};
+
+TEST(SetFillDifferential, MatchesPerSetListsUnderRandomInstallAndEvict)
+{
+    // Small sets and a coarse clock make LRU ties common; installs may
+    // push a set up to assoc+3 lines, as concurrent misses can.
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        sim::Rng rng(seed);
+        FillVsReference t{4, 4};
+        mem::PAddr nextLine = 0;
+        std::size_t peakOverflow = 0;
+        for (int step = 0; step < 3000; ++step) {
+            const auto set = static_cast<std::uint32_t>(rng.below(t.sets));
+            const std::size_t n = t.ref[set].size();
+            const bool grow = n < t.assoc + 3 && (n == 0 || rng.chance(0.5));
+            if (grow) {
+                // Lines of set s are those with index == s (mod sets).
+                nextLine += 64;
+                const mem::PAddr line =
+                    (nextLine / 64 * t.sets + set) * 64;
+                t.install(set, line, rng.below(8));
+            } else {
+                for (mem::PAddr line : t.ref[set]) {
+                    const mem::LineKey k = mem::lineKey(line);
+                    t.locked[k] = rng.chance(0.25);
+                    if (rng.chance(0.3))
+                        t.lastUse[k] = rng.below(8);
+                }
+                t.evict(set);
+            }
+            peakOverflow = std::max(peakOverflow, t.fill.overflowSize());
+            t.expectSameOrder();
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        EXPECT_GT(peakOverflow, 0u) << "seed " << seed
+                                    << " never overfilled a set";
+    }
+}
+
+TEST(SetFillDifferential, SetHeldAtAssocPlusTwoAcrossEvictions)
+{
+    // The ratchet: once concurrent misses overfill a set, replacement
+    // evicts one line per miss and the set stays at assoc+2. Victims
+    // come from the flat ways and from the overflow list, and other
+    // sets' overflow lines are interleaved with this set's.
+    FillVsReference t{2, 4};
+    auto lineOf = [&](std::uint32_t set, std::uint32_t i) {
+        return mem::PAddr(i * t.sets + set) * 64;
+    };
+    std::uint32_t next = 0;
+    for (; next < t.assoc + 2; ++next) {
+        t.install(0, lineOf(0, next), 100 + next);
+        t.install(1, lineOf(1, next), 100 + next);
+    }
+    t.expectSameOrder();
+    ASSERT_EQ(t.fill.overflowSize(), 4u);
+
+    bool fromFlat = false, fromOverflow = false;
+    for (int round = 0; round < 24; ++round) {
+        // Alternate the oldest line among flat ways and overflow lines.
+        const auto cands = t.candidates(0);
+        const std::size_t pick = (round * 5) % cands.size();
+        t.lastUse[mem::lineKey(cands[pick])] = 0;
+        (pick < t.assoc ? fromFlat : fromOverflow) = true;
+        ASSERT_TRUE(t.evict(0));
+        t.install(0, lineOf(0, next++), 200 + round);
+        t.expectSameOrder();
+        ASSERT_EQ(t.ref[0].size(), t.assoc + 2u);
+        ASSERT_EQ(t.fill.overflowSize(), 4u);
+    }
+    EXPECT_TRUE(fromFlat);
+    EXPECT_TRUE(fromOverflow);
+
+    // Draining the set back below assoc pulls every surplus line in.
+    while (t.ref[0].size() > 1) {
+        ASSERT_TRUE(t.evict(0));
+        t.expectSameOrder();
+    }
+    EXPECT_EQ(t.fill.overflowSize(), 2u); // set 1's surplus only
+}
+
+TEST(SetFillDeathTest, ErasingALineMissingFromItsSetIsFatal)
+{
+    mem::SetFill fill(2, 2);
+    fill.install(0, 0);
+    fill.install(0, 2);
+    fill.install(0, 4); // overflow
+    EXPECT_DEATH(fill.erase(0, 6), "not in set 0");
+    EXPECT_DEATH(fill.erase(1, 0), "not in set 1");
 }
 
 TEST_F(CacheFixture, ConcurrentMixedTrafficCompletes)

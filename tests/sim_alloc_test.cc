@@ -254,25 +254,32 @@ TEST(AllocCounting, SteadyStateFabricPathIsAllocationFree)
 
 TEST(AllocCounting, ClusterBuildHeapFollowsTheWorkingSet)
 {
-    // Heap bytes requested while a 64-node 4x4x4 torus with 1 MiB
-    // segments is built: the read-stream-64 benchmark cell. The count
-    // is deterministic (871,909 B per node); the bound is about 2x
-    // that, so a structure sized from a configured capacity (a
-    // presized directory, reserved waiter lists) instead of the lines
-    // a run touches fails here. Simulated memory lives outside the
-    // heap: the build writes one 1 MiB chunk per node (kernel
-    // structures and page tables); zero-filling the fresh segment
-    // creates none.
+    // Heap bytes and allocations requested while a 64-node 4x4x4 torus
+    // with 1 MiB segments is built: the read-stream-64 benchmark cell.
+    // Both are deterministic (531,985 B and 638 allocations per node;
+    // the L2's flat fill order is 272 KB of that); the bounds are about
+    // 2x, so a structure sized from a configured capacity (a presized
+    // directory, reserved waiter lists) instead of the lines a run
+    // touches, or one heap block per cache set, fails here. Simulated
+    // memory lives outside the heap: the build writes one 1 MiB chunk
+    // per node (kernel structures and page tables); zero-filling the
+    // fresh segment creates none.
     constexpr std::uint32_t kNodes = 64;
-    constexpr std::uint64_t kBoundBytesPerNode = 1'750'000;
+    constexpr std::uint64_t kBoundBytesPerNode = 1'050'000;
+    constexpr std::uint64_t kBoundAllocsPerNode = 1'300;
     const std::uint64_t b0 = g_allocBytes;
+    const std::uint64_t a0 = g_allocCount;
     api::TestBed bed(api::ClusterSpec{}
                          .nodes(kNodes)
                          .torus(4, 4, 4)
                          .segmentPerNode(1ull << 20));
     const std::uint64_t perNode = (g_allocBytes - b0) / kNodes;
+    const std::uint64_t allocsPerNode = (g_allocCount - a0) / kNodes;
     EXPECT_LE(perNode, kBoundBytesPerNode)
         << "cluster build heap per node grew; measured " << perNode;
+    EXPECT_LE(allocsPerNode, kBoundAllocsPerNode)
+        << "cluster build allocations per node grew; measured "
+        << allocsPerNode;
     for (std::uint32_t n = 0; n < kNodes; ++n)
         EXPECT_LE(bed.node(n).phys().chunksCreated(), 1u) << n;
 }

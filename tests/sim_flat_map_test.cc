@@ -138,4 +138,34 @@ TEST(FlatMap, SteadyStateChurnDoesNotGrowStorage)
     EXPECT_EQ(fifo.find((200'000 - kLive - 1) * 64), nullptr);
 }
 
+TEST(FlatMap, ReserveSizesTheTableOnce)
+{
+    // The L2 lock index reserves its bound once; any number of live
+    // entries up to that bound, and churn below it, must not rehash.
+    constexpr std::uint32_t kBound = 128;
+    FlatMap<std::uint32_t, std::uint32_t> m;
+    m.reserve(kBound);
+    const std::size_t cap = m.capacity();
+    EXPECT_GT(cap * 7, kBound * 10);
+    for (std::uint32_t k = 0; k < kBound; ++k)
+        m.insert(k * 7919, k);
+    EXPECT_EQ(m.capacity(), cap);
+    for (std::uint32_t k = kBound; k < 50'000; ++k) {
+        ASSERT_TRUE(m.erase((k - kBound) * 7919));
+        m.insert(k * 7919, k);
+    }
+    EXPECT_EQ(m.capacity(), cap);
+    EXPECT_EQ(m.size(), kBound);
+
+    // Reserving on a populated table keeps every entry.
+    m.reserve(4 * kBound);
+    EXPECT_GT(m.capacity(), cap);
+    for (std::uint32_t k = 50'000 - kBound; k < 50'000; ++k) {
+        ASSERT_NE(m.find(k * 7919), nullptr) << k;
+        EXPECT_EQ(*m.find(k * 7919), k);
+    }
+    m.reserve(kBound); // never shrinks
+    EXPECT_GT(m.capacity(), cap);
+}
+
 } // namespace
