@@ -126,14 +126,6 @@ RmcSession::flush()
     pendingDoorbells_ = 0;
 }
 
-void
-RmcSession::setDoorbellBatching(bool on)
-{
-    if (!on)
-        flush();
-    params_.doorbellBatching = on;
-}
-
 sim::Task
 RmcSession::reapAvailable(std::uint32_t *reaped)
 {
@@ -416,15 +408,6 @@ RmcSession::compareSwap(sim::NodeId nid, std::uint64_t offset,
 //
 // ----------------------------- reaping ---------------------------------
 //
-
-sim::ValueTask<std::uint32_t>
-RmcSession::poll()
-{
-    flush(); // batched posts become visible before their CQs are read
-    std::uint32_t reaped = 0;
-    co_await reapAvailable(&reaped);
-    co_return reaped;
-}
 
 sim::Task
 RmcSession::drain()

@@ -228,9 +228,6 @@ class RmcSession
                      std::uint64_t expected, std::uint64_t desired,
                      std::uint32_t qp = kAnyQp);
 
-    /** Reap available completions without blocking; yields the count. */
-    [[nodiscard]] sim::ValueTask<std::uint32_t> poll();
-
     /** Block until every outstanding operation has completed. */
     [[nodiscard]] sim::Task drain();
 
@@ -280,9 +277,6 @@ class RmcSession
 
     /** Queue pairs with posts the RMC has not been told about yet. */
     std::uint32_t pendingDoorbells() const { return pendingDoorbells_; }
-
-    /** Toggle doorbell batching at runtime (flushes when disabling). */
-    void setDoorbellBatching(bool on);
 
     bool doorbellBatching() const { return params_.doorbellBatching; }
 

@@ -141,9 +141,6 @@ class NetworkInterface
     /** Queue a message for injection. @retval false if the queue is full. */
     bool trySend(const Message &msg);
 
-    /** True if trySend would accept a message on @p lane. */
-    bool canSend(Lane lane) const;
-
     /** Register a callback fired whenever send space frees on @p lane. */
     void onSendSpace(Lane lane, sim::Callback fn);
 

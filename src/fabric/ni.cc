@@ -45,12 +45,6 @@ NetworkInterface::trySend(const Message &msg)
     return true;
 }
 
-bool
-NetworkInterface::canSend(Lane lane) const
-{
-    return injectQ_[li(lane)].size() < params_.injectQueueDepth;
-}
-
 void
 NetworkInterface::onSendSpace(Lane lane, sim::Callback fn)
 {

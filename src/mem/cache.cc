@@ -6,7 +6,6 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <sstream>
 #include <string>
 
@@ -143,7 +142,9 @@ L1Cache::allocLine(PAddr line)
                 victim = &ways[w];
         }
     }
-    assert(victim && "no evictable way (all have pending MSHRs)");
+    if (!victim)
+        sim::panic(name_ + ": no evictable way for line 0x" +
+                   hexLine(lineKey(line)) + " (all have pending MSHRs)");
 
     if (victim->valid && victim->state == State::kModified) {
         writebacks_.inc();
@@ -220,7 +221,8 @@ L1Cache::startMiss(PAddr line, bool write, bool fullLine,
             break;
         }
     }
-    assert(mshr && "mshrsInUse_ disagrees with the slot table");
+    if (!mshr)
+        sim::panic(name_ + ": mshrsInUse_ disagrees with the slot table");
     mshr->busy = true;
     mshr->line = line;
     mshr->write = write;
@@ -239,7 +241,9 @@ L1Cache::handleFill(PAddr line, bool grantedWrite)
     info->lastUse = eq_.now();
 
     Mshr *mshr = findMshr(line);
-    assert(mshr);
+    if (!mshr)
+        sim::panic(name_ + ": fill of line 0x" + hexLine(lineKey(line)) +
+                   " without an MSHR");
     // Free the slot before draining its waiters: a waiter retry or
     // retryBlocked() below may start a fresh transaction on this same
     // line. Waiters move into a scratch list so both vectors keep
@@ -300,47 +304,45 @@ L1Cache::handleProbe(PAddr line, bool invalidate)
 //
 
 SetFill::SetFill(std::uint32_t numSets, std::uint32_t assoc)
-    : assoc_(assoc), ways_(std::size_t(numSets) * assoc), count_(numSets)
+    : assoc_(assoc), ways_(std::size_t(numSets) * assoc),
+      counts_(numSets)
 {
+    if (assoc > kMaxAssoc)
+        sim::fatal("SetFill: assoc " + std::to_string(assoc) +
+                   " exceeds the 16-bit per-set counts (see "
+                   "node::validate)");
+}
+
+void
+SetFill::reserve(std::uint32_t set)
+{
+    if (full(set))
+        sim::panic("SetFill: reserve in full set " + std::to_string(set));
+    ++counts_[set].reserved;
 }
 
 void
 SetFill::install(std::uint32_t set, LineKey key)
 {
-    if (count_[set] < assoc_)
-        ways_[std::size_t(set) * assoc_ + count_[set]++] = key;
-    else
-        overflow_.push_back(Overflow{set, key});
+    Counts &c = counts_[set];
+    if (c.reserved == 0)
+        sim::panic("SetFill: install of line 0x" + hexLine(key) +
+                   " without a reservation in set " + std::to_string(set));
+    --c.reserved;
+    ways_[std::size_t(set) * assoc_ + c.lines++] = key;
 }
 
 void
 SetFill::erase(std::uint32_t set, LineKey key)
 {
     LineKey *ways = &ways_[std::size_t(set) * assoc_];
-    std::uint32_t &count = count_[set];
-    auto ofSet = [set](const Overflow &o) { return o.set == set; };
-    LineKey *way = std::find(ways, ways + count, key);
-    if (way != ways + count) {
-        std::copy(way + 1, ways + count, way);
-        // The set's oldest surplus line takes the freed last way.
-        auto oldest =
-            std::find_if(overflow_.begin(), overflow_.end(), ofSet);
-        if (oldest == overflow_.end()) {
-            --count;
-        } else {
-            ways[count - 1] = oldest->key;
-            overflow_.erase(oldest);
-        }
-        return;
-    }
-    auto it = std::find_if(overflow_.begin(), overflow_.end(),
-                           [&](const Overflow &o) {
-                               return ofSet(o) && o.key == key;
-                           });
-    if (it == overflow_.end())
+    std::uint16_t &lines = counts_[set].lines;
+    LineKey *way = std::find(ways, ways + lines, key);
+    if (way == ways + lines)
         sim::panic("SetFill: erase of line 0x" + hexLine(key) +
                    " that is not in set " + std::to_string(set));
-    overflow_.erase(it);
+    std::copy(way + 1, ways + lines, way);
+    --lines;
 }
 
 //
@@ -376,15 +378,12 @@ L2Cache::registerL1(L1Cache *l1)
     // Grow the lock table past this L1's worst-case contribution to
     // concurrent transactions (its MSHRs plus in-flight putbacks), so
     // steady-state locking never constructs a new entry whatever the
-    // core count or MSHR depth. Only that many misses can race past a
-    // set's capacity check at once, so the same bound reserves the
-    // fill order's overflow list.
+    // core count or MSHR depth.
     const std::size_t first = locks_.size();
     locks_.resize(first + 2 * std::size_t(l1->params_.mshrs));
     for (std::size_t i = locks_.size(); i-- > first;)
         freeLocks_.push_back(static_cast<std::uint32_t>(i));
     lockIndex_.reserve(locks_.size());
-    fill_.reserveOverflow(locks_.size());
     return static_cast<int>(l1s_.size()) - 1;
 }
 
@@ -489,6 +488,8 @@ L2Cache::process(PAddr line, PendingReq req)
 void
 L2Cache::fillMissingLine(PAddr line, std::uint32_t slot)
 {
+    // The way is this miss's from now on; installLine fills it.
+    fill_.reserve(setOf(lineKey(line)));
     const PendingReq &req = reqSlots_.peek(slot).req;
     if (req.fullLine && req.write) {
         // The requester overwrites the entire line: allocate without
@@ -594,7 +595,8 @@ L2Cache::ensureCapacity(PAddr line, std::uint32_t slot)
         }
     });
     if (!found) {
-        // Every line in the set is mid-transaction; retry shortly.
+        // Every line in the set is mid-transaction, or every way is
+        // promised to a fill; retry shortly.
         eq_.scheduleAfter(params_.latency(), [this, line, slot] {
             ensureCapacity(line, slot);
         });

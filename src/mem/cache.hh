@@ -52,34 +52,38 @@ lineAddr(LineKey key)
 
 /**
  * Fill order of every set of a set-associative cache, in one flat
- * array. Set s keeps its oldest `assoc` lines in ways [s * assoc, ...),
- * count_[s] of them valid, oldest first.
+ * array. Set s keeps its lines in ways [s * assoc, ...), oldest first.
  *
- * Concurrent misses to one set can each pass the L2's capacity check
- * before any of them installs, so a set may hold more than `assoc`
- * lines — and keeps the surplus, since replacement then evicts one
- * line per miss. The surplus lines of every set wait in one shared
- * overflow list, in install order; a set has overflow lines only while
- * all its ways are valid. Erasing a way shifts the later ways down and
- * moves the set's oldest overflow line into its last way. forEach()
- * therefore visits a set's lines in install order, the order in which
- * LRU replacement breaks ties.
+ * A miss reserves a way of its set before it fetches, and its fill
+ * installs into that way, so lines plus reservations never exceed
+ * `assoc`: a set never holds more lines than the cache has ways.
+ * Erasing a way shifts the later ways down, so forEach() visits a
+ * set's lines in install order, the order in which LRU replacement
+ * breaks ties.
  */
 class SetFill
 {
   public:
+    /** Largest associativity; the per-set counts are 16 bits. */
+    static constexpr std::uint32_t kMaxAssoc = 0xffff;
+
     SetFill(std::uint32_t numSets, std::uint32_t assoc);
 
-    /** Reserve overflow room for @p n lines (sized by the caller). */
-    void reserveOverflow(std::size_t n) { overflow_.reserve(n); }
+    /** True when every way of @p set holds a line or is reserved. */
+    bool
+    full(std::uint32_t set) const
+    {
+        return std::uint32_t(counts_[set].lines) + counts_[set].reserved ==
+               assoc_;
+    }
 
-    /** True when all `assoc` ways of @p set hold lines. */
-    bool full(std::uint32_t set) const { return count_[set] == assoc_; }
+    /** Promise a way of @p set to a fill; panics if the set is full. */
+    void reserve(std::uint32_t set);
 
-    /** Lines waiting in the overflow list, over all sets. */
-    std::size_t overflowSize() const { return overflow_.size(); }
-
-    /** Append @p key as the newest line of @p set. */
+    /**
+     * Append @p key as the newest line of @p set, in a way reserved
+     * for it; panics if the set has no reservation.
+     */
     void install(std::uint32_t set, LineKey key);
 
     /** Remove @p key from @p set; panics if the set does not hold it. */
@@ -91,25 +95,20 @@ class SetFill
     forEach(std::uint32_t set, F &&visit) const
     {
         const LineKey *ways = &ways_[std::size_t(set) * assoc_];
-        for (std::uint32_t w = 0; w < count_[set]; ++w)
+        for (std::uint32_t w = 0; w < counts_[set].lines; ++w)
             visit(ways[w]);
-        for (const Overflow &o : overflow_) {
-            if (o.set == set)
-                visit(o.key);
-        }
     }
 
   private:
-    struct Overflow
+    struct Counts
     {
-        std::uint32_t set;
-        LineKey key;
+        std::uint16_t lines = 0;    //!< valid ways, from way 0
+        std::uint16_t reserved = 0; //!< ways promised to fills
     };
 
     std::uint32_t assoc_;
-    std::vector<LineKey> ways_;        //!< [set * assoc + way]
-    std::vector<std::uint32_t> count_; //!< valid ways per set
-    std::vector<Overflow> overflow_;   //!< surplus lines, install order
+    std::vector<LineKey> ways_;  //!< [set * assoc + way]
+    std::vector<Counts> counts_; //!< [set], 4 B each
 };
 
 /** Cache geometry/timing configuration. */
@@ -381,7 +380,7 @@ class L2Cache
     // resident. It grows with the lines the run touches and stays put
     // under replacement (erase leaves no tombstones).
     sim::FlatMap<LineKey, DirEntry> lines_;
-    SetFill fill_; //!< per-set install order, for LRU replacement
+    SetFill fill_; //!< per-set install order and reserved ways
 
     /**
      * Per-line transaction serialization. lockIndex_ maps a locked

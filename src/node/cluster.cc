@@ -52,6 +52,11 @@ validateNode(const NodeParams &node)
             "sharer bitmask holds; use at most 31 cores");
     validateCache("l1", node.l1.sizeBytes, node.l1.assoc);
     validateCache("l2", node.l2.sizeBytes, node.l2.assoc);
+    if (node.l2.assoc > mem::SetFill::kMaxAssoc)
+        throw std::invalid_argument(
+            "ClusterParams: l2 assoc " + std::to_string(node.l2.assoc) +
+            " exceeds the 16-bit way counts of the L2 fill order; use "
+            "at most " + std::to_string(mem::SetFill::kMaxAssoc));
     // The L2 keys its directory, fill order and locks by 32-bit line
     // index.
     if (node.physMemBytes / sim::kCacheLineBytes > (1ull << 32))

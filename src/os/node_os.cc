@@ -32,14 +32,6 @@ NodeOs::createProcess(UserId uid)
     return *processes_.back();
 }
 
-Process &
-NodeOs::process(std::uint32_t pid)
-{
-    if (pid >= processes_.size())
-        sim::fatal("no such pid: " + std::to_string(pid));
-    return *processes_[pid];
-}
-
 mem::PAddr
 NodeOs::allocKernel(std::uint64_t bytes)
 {

@@ -82,8 +82,6 @@ class NodeOs
     /** Spawn a process owned by @p uid. */
     Process &createProcess(UserId uid);
 
-    Process &process(std::uint32_t pid);
-
     /** Allocate pinned, zeroed, physically-contiguous kernel memory. */
     mem::PAddr allocKernel(std::uint64_t bytes);
 

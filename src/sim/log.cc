@@ -1,6 +1,6 @@
 /**
  * @file
- * Logging implementation.
+ * Error reporting implementation.
  */
 
 #include "sim/log.hh"
@@ -9,49 +9,6 @@
 #include <iostream>
 
 namespace sonuma::sim {
-
-namespace {
-
-LogLevel g_level = LogLevel::kWarn;
-
-const char *
-levelName(LogLevel lvl)
-{
-    switch (lvl) {
-      case LogLevel::kWarn:
-        return "warn";
-      case LogLevel::kInfo:
-        return "info";
-      case LogLevel::kDebug:
-        return "debug";
-      case LogLevel::kTrace:
-        return "trace";
-      default:
-        return "?";
-    }
-}
-
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
-void
-setLogLevel(LogLevel lvl)
-{
-    g_level = lvl;
-}
-
-void
-logLine(LogLevel lvl, Tick now, const std::string &component,
-        const std::string &msg)
-{
-    std::cerr << '[' << ticksToNs(now) << "ns] " << levelName(lvl) << ' '
-              << component << ": " << msg << '\n';
-}
 
 void
 fatal(const std::string &msg)

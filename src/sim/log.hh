@@ -1,39 +1,18 @@
 /**
  * @file
- * Minimal leveled logging with simulated timestamps.
+ * Error reporting.
  *
  * Levels follow gem5's spirit: `panic` for simulator bugs (aborts),
- * `fatal` for user/configuration errors (throws), `warn`/`info` for
- * status, `trace` for per-event debugging (off by default).
+ * `fatal` for user/configuration errors (throws).
  */
 
 #ifndef SONUMA_SIM_LOG_HH
 #define SONUMA_SIM_LOG_HH
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
-#include "sim/types.hh"
-
 namespace sonuma::sim {
-
-enum class LogLevel : int
-{
-    kNone = 0,
-    kWarn = 1,
-    kInfo = 2,
-    kDebug = 3,
-    kTrace = 4,
-};
-
-/** Global log verbosity (process-wide; default kWarn). */
-LogLevel logLevel();
-void setLogLevel(LogLevel lvl);
-
-/** Emit one log line (already formatted) at @p lvl. */
-void logLine(LogLevel lvl, Tick now, const std::string &component,
-             const std::string &msg);
 
 /** Error thrown by fatal(): the condition is the user's fault. */
 class FatalError : public std::runtime_error
@@ -49,28 +28,5 @@ class FatalError : public std::runtime_error
 [[noreturn]] void panic(const std::string &msg);
 
 } // namespace sonuma::sim
-
-/**
- * Logging macros: cheap when disabled (level test before formatting).
- * `cmp` is a short component tag, `expr` is streamed.
- */
-#define SONUMA_LOG(lvl, now, cmp, expr)                                     \
-    do {                                                                    \
-        if (static_cast<int>(::sonuma::sim::logLevel()) >=                  \
-            static_cast<int>(lvl)) {                                        \
-            std::ostringstream os_;                                         \
-            os_ << expr;                                                    \
-            ::sonuma::sim::logLine(lvl, now, cmp, os_.str());               \
-        }                                                                   \
-    } while (0)
-
-#define SONUMA_TRACE(now, cmp, expr)                                        \
-    SONUMA_LOG(::sonuma::sim::LogLevel::kTrace, now, cmp, expr)
-#define SONUMA_DEBUG(now, cmp, expr)                                        \
-    SONUMA_LOG(::sonuma::sim::LogLevel::kDebug, now, cmp, expr)
-#define SONUMA_INFO(now, cmp, expr)                                         \
-    SONUMA_LOG(::sonuma::sim::LogLevel::kInfo, now, cmp, expr)
-#define SONUMA_WARN(now, cmp, expr)                                         \
-    SONUMA_LOG(::sonuma::sim::LogLevel::kWarn, now, cmp, expr)
 
 #endif // SONUMA_SIM_LOG_HH

@@ -151,6 +151,23 @@ TEST(ClusterParamsValidation, PhysMemBeyond32BitLineKeysRejected)
     }
 }
 
+TEST(ClusterParamsValidation, L2AssocBeyondSixteenBitWayCountsRejected)
+{
+    node::ClusterParams p;
+    p.node.l2.sizeBytes = 4ull << 20; // 65536 lines: one set at most
+    p.node.l2.assoc = 65535;
+    EXPECT_NO_THROW(node::validate(p));
+    p.node.l2.assoc = 65536;
+    try {
+        node::validate(p);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("l2 assoc 65536"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ClusterParamsValidation, DeriveCapacitiesScalesIttAndEjectRing)
 {
     node::ClusterParams p;

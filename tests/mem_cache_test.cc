@@ -17,6 +17,7 @@
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "sim/event_queue.hh"
+#include "sim/log.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 
@@ -206,13 +207,13 @@ TEST_F(CacheFixture, L2EvictionBackInvalidatesL1)
     EXPECT_EQ(l1b.misses(), missesBefore + 1);
 }
 
-TEST_F(CacheFixture, ConcurrentMissesOverfillOnlyTheirOwnL2Set)
+TEST_F(CacheFixture, ConcurrentMissesNeverOverfillAnL2Set)
 {
-    // Two read misses to distinct lines of a set holding assoc-1 lines
-    // both pass the capacity check before either DRAM fetch returns, so
-    // the set briefly holds assoc+1 lines. That must stay the set's own
-    // business: the neighbouring set keeps its lines, and replacement
-    // in either set evicts only that set's lines.
+    // Two read misses to distinct lines of a set holding assoc-1 lines:
+    // the first reserves the last free way, so the second finds the set
+    // full and evicts the set's own LRU line before it fetches. The set
+    // never holds more than assoc lines, and replacement in either set
+    // evicts only that set's lines.
     EventQueue eq2;
     StatRegistry st2;
     DramChannel dram2(eq2, st2, "dram", DramParams{});
@@ -229,6 +230,7 @@ TEST_F(CacheFixture, ConcurrentMissesOverfillOnlyTheirOwnL2Set)
         eq2.run();
     };
     auto dramReads = [&] { return st2.counter("dram.reads")->value(); };
+    auto evictions = [&] { return st2.counter("l2.evictions")->value(); };
 
     for (std::uint32_t i = 0; i < assoc; ++i)
         read(setB(i));
@@ -239,31 +241,63 @@ TEST_F(CacheFixture, ConcurrentMissesOverfillOnlyTheirOwnL2Set)
     l2b.request(0, setA(assoc), false, false, [&] { ++done; });
     eq2.run();
     ASSERT_EQ(done, 2);
-    EXPECT_EQ(l2b.trackedLines(), 2 * assoc + 1);
+    EXPECT_EQ(l2b.trackedLines(), 2 * assoc);
     EXPECT_EQ(dramReads(), 2 * assoc + 1);
-    EXPECT_EQ(st2.counter("l2.evictions")->value(), 0u);
+    EXPECT_EQ(evictions(), 1u);
 
-    // Refresh the neighbour, then miss in it: its LRU line goes, and
-    // nothing of the over-full set does.
+    // The victim was set A's LRU line; every other line of both sets
+    // is still resident.
+    std::uint64_t before = dramReads();
+    for (std::uint32_t i = 1; i <= assoc; ++i)
+        read(setA(i));
     for (std::uint32_t i = 0; i < assoc; ++i)
         read(setB(i));
-    read(setB(assoc));
-    EXPECT_EQ(st2.counter("l2.evictions")->value(), 1u);
-    const std::uint64_t before = dramReads();
-    for (std::uint32_t i = 0; i <= assoc; ++i)
-        read(setA(i));
-    for (std::uint32_t i = 1; i <= assoc; ++i)
-        read(setB(i));
     EXPECT_EQ(dramReads(), before) << "a resident line was lost";
+    read(setA(0));
+    EXPECT_EQ(dramReads(), before + 1);
+    EXPECT_EQ(evictions(), 2u);
 
-    // A miss in the over-full set evicts one of its own lines.
-    read(setA(assoc + 1));
-    EXPECT_EQ(st2.counter("l2.evictions")->value(), 2u);
-    const std::uint64_t after = dramReads();
-    for (std::uint32_t i = 1; i <= assoc; ++i)
-        read(setB(i));
-    EXPECT_EQ(dramReads(), after) << "a neighbour-set line was evicted";
-    EXPECT_EQ(l2b.trackedLines(), 2 * assoc + 1);
+    // A miss in either full set evicts one of its own lines.
+    read(setB(assoc));
+    EXPECT_EQ(evictions(), 3u);
+    before = dramReads();
+    for (std::uint32_t i = 0; i < assoc; ++i) {
+        if (i != 1) // setA(1) was the victim of setA(0)'s miss
+            read(setA(i));
+    }
+    read(setA(assoc));
+    EXPECT_EQ(dramReads(), before) << "a neighbour-set miss evicted set A";
+    EXPECT_EQ(l2b.trackedLines(), 2 * assoc);
+}
+
+TEST_F(CacheFixture, MissPastEveryReservedWayRetriesThenEvicts)
+{
+    // assoc+1 concurrent misses to one empty set: the first assoc
+    // reserve every way, so the last finds nothing to evict and waits
+    // on the retry path until a fill lands and unlocks, then evicts it.
+    EventQueue eq2;
+    StatRegistry st2;
+    DramChannel dram2(eq2, st2, "dram", DramParams{});
+    L2Cache::Params tiny;
+    tiny.sizeBytes = 8 * 1024; // 128 lines, 16-way -> 8 sets
+    L2Cache l2b(eq2, st2, "l2", tiny, dram2);
+    const std::uint32_t assoc = tiny.assoc;
+
+    std::vector<Tick> doneAt(assoc + 1, 0);
+    for (std::uint32_t i = 0; i <= assoc; ++i) {
+        l2b.request(0, std::uint64_t(i) * 512, false, false,
+                    [&, i] { doneAt[i] = eq2.now(); });
+    }
+    eq2.run();
+    for (std::uint32_t i = 0; i <= assoc; ++i)
+        ASSERT_GT(doneAt[i], 0u) << "request " << i << " never completed";
+    const Tick firstFill =
+        *std::min_element(doneAt.begin(), doneAt.end() - 1);
+    EXPECT_GT(doneAt[assoc], firstFill)
+        << "the last miss completed before any way was free";
+    EXPECT_EQ(st2.counter("l2.evictions")->value(), 1u);
+    EXPECT_EQ(st2.counter("dram.reads")->value(), assoc + 1u);
+    EXPECT_EQ(l2b.trackedLines(), assoc);
 }
 
 //
@@ -274,7 +308,7 @@ TEST_F(CacheFixture, ConcurrentMissesOverfillOnlyTheirOwnL2Set)
 struct FillVsReference
 {
     FillVsReference(std::uint32_t s, std::uint32_t a)
-        : sets(s), assoc(a), fill(s, a), ref(s)
+        : sets(s), assoc(a), fill(s, a), ref(s), reserved(s)
     {
     }
 
@@ -282,6 +316,7 @@ struct FillVsReference
     std::uint32_t assoc;
     mem::SetFill fill;
     std::vector<std::vector<mem::PAddr>> ref;
+    std::vector<std::uint32_t> reserved; //!< ways promised per set
     std::unordered_map<mem::LineKey, Tick> lastUse;
     std::unordered_map<mem::LineKey, bool> locked;
 
@@ -316,9 +351,18 @@ struct FillVsReference
     }
 
     void
+    reserve(std::uint32_t set)
+    {
+        fill.reserve(set);
+        ++reserved[set];
+    }
+
+    /** Install into a way reserved earlier. */
+    void
     install(std::uint32_t set, mem::PAddr line, Tick use)
     {
         fill.install(set, mem::lineKey(line));
+        --reserved[set];
         ref[set].push_back(line);
         lastUse[mem::lineKey(line)] = use;
         locked[mem::lineKey(line)] = false;
@@ -345,31 +389,35 @@ struct FillVsReference
     {
         for (std::uint32_t s = 0; s < sets; ++s) {
             ASSERT_EQ(candidates(s), ref[s]) << "set " << s;
-            ASSERT_EQ(fill.full(s), ref[s].size() >= assoc);
+            const std::size_t taken = ref[s].size() + reserved[s];
+            ASSERT_LE(taken, assoc) << "set " << s;
+            ASSERT_EQ(fill.full(s), taken == assoc) << "set " << s;
         }
     }
 };
 
 TEST(SetFillDifferential, MatchesPerSetListsUnderRandomInstallAndEvict)
 {
-    // Small sets and a coarse clock make LRU ties common; installs may
-    // push a set up to assoc+3 lines, as concurrent misses can.
+    // Small sets and a coarse clock make LRU ties common. Ways are
+    // reserved ahead of their installs, as L2 misses reserve before
+    // their fetch, and a set fills up to assoc lines and reservations.
     for (std::uint64_t seed = 1; seed <= 16; ++seed) {
         sim::Rng rng(seed);
         FillVsReference t{4, 4};
         mem::PAddr nextLine = 0;
-        std::size_t peakOverflow = 0;
+        std::size_t fullSteps = 0;
         for (int step = 0; step < 3000; ++step) {
             const auto set = static_cast<std::uint32_t>(rng.below(t.sets));
             const std::size_t n = t.ref[set].size();
-            const bool grow = n < t.assoc + 3 && (n == 0 || rng.chance(0.5));
-            if (grow) {
+            if (!t.fill.full(set) && (n == 0 || rng.chance(0.4))) {
+                t.reserve(set);
+            } else if (t.reserved[set] > 0 && rng.chance(0.6)) {
                 // Lines of set s are those with index == s (mod sets).
                 nextLine += 64;
                 const mem::PAddr line =
                     (nextLine / 64 * t.sets + set) * 64;
                 t.install(set, line, rng.below(8));
-            } else {
+            } else if (n > 0) {
                 for (mem::PAddr line : t.ref[set]) {
                     const mem::LineKey k = mem::lineKey(line);
                     t.locked[k] = rng.chance(0.25);
@@ -378,66 +426,54 @@ TEST(SetFillDifferential, MatchesPerSetListsUnderRandomInstallAndEvict)
                 }
                 t.evict(set);
             }
-            peakOverflow = std::max(peakOverflow, t.fill.overflowSize());
+            fullSteps += t.ref[set].size() == t.assoc;
             t.expectSameOrder();
             if (::testing::Test::HasFatalFailure())
                 return;
         }
-        EXPECT_GT(peakOverflow, 0u) << "seed " << seed
-                                    << " never overfilled a set";
+        EXPECT_GT(fullSteps, 0u) << "seed " << seed
+                                 << " never filled a set with lines";
     }
 }
 
-TEST(SetFillDifferential, SetHeldAtAssocPlusTwoAcrossEvictions)
+TEST(SetFill, AssocBeyondSixteenBitCountsIsFatal)
 {
-    // The ratchet: once concurrent misses overfill a set, replacement
-    // evicts one line per miss and the set stays at assoc+2. Victims
-    // come from the flat ways and from the overflow list, and other
-    // sets' overflow lines are interleaved with this set's.
-    FillVsReference t{2, 4};
-    auto lineOf = [&](std::uint32_t set, std::uint32_t i) {
-        return mem::PAddr(i * t.sets + set) * 64;
-    };
-    std::uint32_t next = 0;
-    for (; next < t.assoc + 2; ++next) {
-        t.install(0, lineOf(0, next), 100 + next);
-        t.install(1, lineOf(1, next), 100 + next);
-    }
-    t.expectSameOrder();
-    ASSERT_EQ(t.fill.overflowSize(), 4u);
-
-    bool fromFlat = false, fromOverflow = false;
-    for (int round = 0; round < 24; ++round) {
-        // Alternate the oldest line among flat ways and overflow lines.
-        const auto cands = t.candidates(0);
-        const std::size_t pick = (round * 5) % cands.size();
-        t.lastUse[mem::lineKey(cands[pick])] = 0;
-        (pick < t.assoc ? fromFlat : fromOverflow) = true;
-        ASSERT_TRUE(t.evict(0));
-        t.install(0, lineOf(0, next++), 200 + round);
-        t.expectSameOrder();
-        ASSERT_EQ(t.ref[0].size(), t.assoc + 2u);
-        ASSERT_EQ(t.fill.overflowSize(), 4u);
-    }
-    EXPECT_TRUE(fromFlat);
-    EXPECT_TRUE(fromOverflow);
-
-    // Draining the set back below assoc pulls every surplus line in.
-    while (t.ref[0].size() > 1) {
-        ASSERT_TRUE(t.evict(0));
-        t.expectSameOrder();
-    }
-    EXPECT_EQ(t.fill.overflowSize(), 2u); // set 1's surplus only
+    EXPECT_NO_THROW(mem::SetFill(1, mem::SetFill::kMaxAssoc));
+    EXPECT_THROW(mem::SetFill(1, mem::SetFill::kMaxAssoc + 1),
+                 sim::FatalError);
 }
 
 TEST(SetFillDeathTest, ErasingALineMissingFromItsSetIsFatal)
 {
     mem::SetFill fill(2, 2);
+    fill.reserve(0);
+    fill.reserve(0);
     fill.install(0, 0);
     fill.install(0, 2);
-    fill.install(0, 4); // overflow
     EXPECT_DEATH(fill.erase(0, 6), "not in set 0");
     EXPECT_DEATH(fill.erase(1, 0), "not in set 1");
+}
+
+TEST(SetFillDeathTest, InstallWithoutAReservationIsFatal)
+{
+    mem::SetFill fill(2, 2);
+    EXPECT_DEATH(fill.install(0, 0), "without a reservation in set 0");
+    fill.reserve(1);
+    fill.install(1, 1);
+    EXPECT_DEATH(fill.install(1, 3), "without a reservation in set 1");
+}
+
+TEST(SetFillDeathTest, ReserveInAFullSetIsFatal)
+{
+    mem::SetFill fill(2, 2);
+    fill.reserve(0);
+    fill.reserve(0);
+    EXPECT_DEATH(fill.reserve(0), "reserve in full set 0");
+    fill.install(0, 0);
+    fill.install(0, 2);
+    EXPECT_DEATH(fill.reserve(0), "reserve in full set 0");
+    fill.erase(0, 0);
+    fill.reserve(0); // an eviction frees a way
 }
 
 TEST_F(CacheFixture, ConcurrentMixedTrafficCompletes)
