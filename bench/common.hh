@@ -14,13 +14,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/testbed.hh"
 #include "sim/simulation.hh"
-#include "sim/time_series.hh"
 
 namespace sonuma::bench {
 
@@ -358,74 +356,6 @@ measureLocalDramNs(std::uint64_t seed = 9)
     }(&bed.sim(), &core, buf, &result));
     bed.run();
     return result;
-}
-
-/**
- * One point of Table 2's IOPS-vs-qpCount curve: pipelined 64 B reads
- * from a single session whose in-flight window is qpCount shallow
- * rings. The ring depth (8) is the deliberate bottleneck — adding QPs
- * widens the window until the RMC pipelines saturate, which is exactly
- * the axis Table 2 reports per-QP IOPS on. With @p obsPeriodNs > 0 the
- * run is sampled and @p obsJson receives its OBS_TABLE2_* sidecar.
- * @return Mops/s
- */
-inline double
-measureIopsAtQps(std::uint32_t qpCount, std::uint64_t obsPeriodNs,
-                 std::string *obsJson)
-{
-    auto params = rmc::RmcParams::simulatedHardware();
-    params.qpEntries = 8;
-    params.qpCount = qpCount;
-
-    api::TestBed bed(api::ClusterSpec{}
-                         .nodes(2)
-                         .rmc(params)
-                         .segmentPerNode(64ull << 20)
-                         .doorbellBatching(true)
-                         .observability(obsPeriodNs));
-    auto &s = bed.session(1);
-    const auto buf =
-        s.allocBuffer(std::uint64_t(s.queueDepth()) * 64);
-    double mops = 0;
-    bed.spawn([](sim::Simulation *sim, api::RmcSession *s, vm::VAddr buf,
-                 std::uint64_t segBytes, double *out) -> sim::Task {
-        const std::uint64_t span = segBytes / 2;
-        const int warm = 256, ops = 20000;
-        for (int i = 0; i < warm; ++i) {
-            co_await s->readAsync(0, (std::uint64_t(i) * 64) % span,
-                                  buf + std::uint64_t(s->nextSlot()) * 64,
-                                  64);
-        }
-        co_await s->drain();
-        const sim::Tick t0 = sim->now();
-        for (int i = 0; i < ops; ++i) {
-            co_await s->readAsync(0, (std::uint64_t(i) * 64) % span,
-                                  buf + std::uint64_t(s->nextSlot()) * 64,
-                                  64);
-        }
-        co_await s->drain();
-        const double secs = sim::ticksToNs(sim->now() - t0) * 1e-9;
-        *out = ops / secs / 1e6;
-    }(&bed.sim(), &s, buf, bed.segBytes(), &mops));
-    bed.run();
-    if (obsPeriodNs > 0 && obsJson) {
-        *obsJson = sim::renderObsJson(
-            bed.sim().stats(),
-            "TABLE2_iops_qp" + std::to_string(qpCount), obsPeriodNs);
-    }
-    return mops;
-}
-
-/** The TABLE2_iops_qp<qpCount>.json artifact for one curve point. */
-inline std::string
-table2IopsJson(std::uint32_t qpCount, double mops)
-{
-    std::ostringstream os;
-    os << "{\"bench\": \"table2_iops_vs_qps\", \"schema\": 1"
-       << ", \"qp_count\": " << qpCount << ", \"qp_depth\": 8"
-       << ", \"doorbell_batching\": 1, \"request_bytes\": 64"
-       << ", \"mops\": " << mops << "}\n";
-    return os.str();
 }
 
 } // namespace sonuma::bench

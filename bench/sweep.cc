@@ -46,8 +46,7 @@ main(int argc, char **argv)
                       "out-dir", "quick", "pr-vertices", "pr-degree",
                       "pr-supersteps", "pr-warmup", "pr-verify", "faults",
                       "routing", "retries", "retry-backoff-us",
-                      "max-attempts", "rnr-backoff-us", "bg-traffic",
-                      "obs-period-ns", "obs-slots"});
+                      "max-attempts", "rnr-backoff-us", "obs-period-ns"});
     const bool quick = args.has("quick");
     app::registerPageRankSweepWorkload();
 
@@ -75,7 +74,6 @@ main(int argc, char **argv)
     cfg.seed = args.getU64("seed", 1);
     cfg.outDir = args.get("out-dir", "");
     cfg.obsPeriodNs = args.getU64("obs-period-ns", 0);
-    cfg.obsSlots = static_cast<std::size_t>(args.getU64("obs-slots", 1024));
     cfg.torusDims = args.getDims("topo");
     cfg.torusNdims = static_cast<std::uint32_t>(
         args.getU64("ndims", cfg.torusDims.empty() ? 2
@@ -117,24 +115,6 @@ main(int argc, char **argv)
     if (args.has("rnr-backoff-us"))
         cfg.rmcParams.rnrBackoff = sim::usToTicks(
             static_cast<double>(args.getU64("rnr-backoff-us", 5)));
-
-    // Background-load axis: a fraction of the foreground window spent
-    // on uniform single-line reads next to the measured workload.
-    if (args.has("bg-traffic")) {
-        const std::string raw = args.get("bg-traffic", "0");
-        try {
-            cfg.bgTraffic = std::stod(raw);
-        } catch (const std::exception &) {
-            cfg.bgTraffic = -1.0; // falls into the range error below
-        }
-        if (cfg.bgTraffic < 0.0 || cfg.bgTraffic > 1.0) {
-            std::fprintf(stderr,
-                         "--bg-traffic: fraction must be in [0, 1] "
-                         "(got '%s')\n",
-                         raw.c_str());
-            return 2;
-        }
-    }
 
     // PageRank axis (paper Fig. 9; see src/app/README.md).
     cfg.pagerank.vertices = static_cast<std::uint32_t>(

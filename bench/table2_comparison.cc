@@ -23,6 +23,7 @@
 
 #include "baseline/rdma.hh"
 #include "bench/common.hh"
+#include "sim/time_series.hh"
 
 namespace {
 
@@ -149,6 +150,62 @@ measureRdma()
     return m;
 }
 
+/**
+ * One point of Table 2's IOPS-vs-qpCount curve: pipelined 64 B reads
+ * from a single session whose in-flight window is qpCount shallow
+ * rings. The ring depth (8) is the deliberate bottleneck — adding QPs
+ * widens the window until the RMC pipelines saturate, which is exactly
+ * the axis Table 2 reports per-QP IOPS on. With @p obsPeriodNs > 0 the
+ * run is sampled and @p obsJson receives its OBS_TABLE2_* sidecar.
+ * @return Mops/s
+ */
+double
+measureIopsAtQps(std::uint32_t qpCount, std::uint64_t obsPeriodNs,
+                 std::string *obsJson)
+{
+    auto params = rmc::RmcParams::simulatedHardware();
+    params.qpEntries = 8;
+    params.qpCount = qpCount;
+
+    api::TestBed bed(api::ClusterSpec{}
+                         .nodes(2)
+                         .rmc(params)
+                         .segmentPerNode(64ull << 20)
+                         .doorbellBatching(true)
+                         .observability(obsPeriodNs));
+    auto &s = bed.session(1);
+    const auto buf =
+        s.allocBuffer(std::uint64_t(s.queueDepth()) * 64);
+    double mops = 0;
+    bed.spawn([](sim::Simulation *sim, api::RmcSession *s, vm::VAddr buf,
+                 std::uint64_t segBytes, double *out) -> sim::Task {
+        const std::uint64_t span = segBytes / 2;
+        const int warm = 256, ops = 20000;
+        for (int i = 0; i < warm; ++i) {
+            co_await s->readAsync(0, (std::uint64_t(i) * 64) % span,
+                                  buf + std::uint64_t(s->nextSlot()) * 64,
+                                  64);
+        }
+        co_await s->drain();
+        const sim::Tick t0 = sim->now();
+        for (int i = 0; i < ops; ++i) {
+            co_await s->readAsync(0, (std::uint64_t(i) * 64) % span,
+                                  buf + std::uint64_t(s->nextSlot()) * 64,
+                                  64);
+        }
+        co_await s->drain();
+        const double secs = sim::ticksToNs(sim->now() - t0) * 1e-9;
+        *out = ops / secs / 1e6;
+    }(&bed.sim(), &s, buf, bed.segBytes(), &mops));
+    bed.run();
+    if (obsPeriodNs > 0) {
+        *obsJson = sim::renderObsJson(
+            bed.sim().stats(),
+            "TABLE2_iops_qp" + std::to_string(qpCount), obsPeriodNs);
+    }
+    return mops;
+}
+
 void
 runQpCurve(const std::string &outDir, std::uint64_t obsPeriodNs)
 {
@@ -158,8 +215,7 @@ runQpCurve(const std::string &outDir, std::uint64_t obsPeriodNs)
     std::printf("%-8s %14s %14s\n", "QPs", "Mops/s", "Mops/s-per-QP");
     for (const auto n : qps) {
         std::string obsJson;
-        const double mops =
-            bench::measureIopsAtQps(n, obsPeriodNs, &obsJson);
+        const double mops = measureIopsAtQps(n, obsPeriodNs, &obsJson);
         std::printf("%-8u %14.2f %14.2f\n", n, mops, mops / n);
         if (outDir.empty())
             continue;
@@ -171,7 +227,10 @@ runQpCurve(const std::string &outDir, std::uint64_t obsPeriodNs)
                          path.c_str());
             std::exit(2);
         }
-        f << bench::table2IopsJson(n, mops);
+        f << "{\"bench\": \"table2_iops_vs_qps\", \"schema\": 1"
+          << ", \"qp_count\": " << n << ", \"qp_depth\": 8"
+          << ", \"doorbell_batching\": 1, \"request_bytes\": 64"
+          << ", \"mops\": " << mops << "}\n";
         if (!obsJson.empty()) {
             const std::string obsPath = outDir + "/OBS_TABLE2_iops_qp" +
                                         std::to_string(n) + ".json";

@@ -50,9 +50,6 @@ SweepCellResult::label() const
         out += "_adaptive";
     if (faultScenario != "none")
         out += "_" + fab::FaultPlan::scenarioOf(faultScenario);
-    if (bgTraffic > 0)
-        out += "_bg" + std::to_string(static_cast<int>(
-                           std::lround(bgTraffic * 100)));
     return out;
 }
 
@@ -72,10 +69,6 @@ SweepCellResult::writeJson(std::ostream &os) const
        << ", \"gbps\": " << gbps
        << ", \"mean_latency_ns\": " << meanLatencyNs
        << ", \"p99_latency_ns\": " << p99LatencyNs;
-    if (bgTraffic > 0) {
-        os << ", \"bg_traffic\": " << bgTraffic
-           << ", \"bg_ops\": " << bgOps;
-    }
     if (degraded()) {
         // Degraded fields only appear for degraded cells, so healthy
         // artifacts stay byte-identical to the pre-fault schema.
@@ -371,11 +364,6 @@ SweepDriver::runCell(std::uint32_t nodes, node::Topology topo,
     cell.doorbellBatching = cfg_.doorbellBatching;
     cell.faultScenario = cfg_.faultSpec;
     cell.routing = cfg_.routing;
-    if (cfg_.bgTraffic < 0.0 || cfg_.bgTraffic > 1.0)
-        throw std::invalid_argument(
-            "SweepDriver: bgTraffic must be in [0, 1] (got " +
-            std::to_string(cfg_.bgTraffic) + ")");
-    cell.bgTraffic = cfg_.bgTraffic;
     if (topo == node::Topology::kTorus) {
         cell.torusDims = cfg_.torusDims.empty()
                              ? torusDimsFor(nodes, cfg_.torusNdims)
@@ -393,7 +381,7 @@ SweepDriver::runCell(std::uint32_t nodes, node::Topology topo,
         .routing(cfg_.routing)
         .seed(cfg_.seed);
     if (cfg_.obsPeriodNs > 0)
-        spec.observability(cfg_.obsPeriodNs, cfg_.obsSlots);
+        spec.observability(cfg_.obsPeriodNs);
     if (topo == node::Topology::kTorus)
         spec.torus(cell.torusDims);
     if (!plan.empty())
@@ -409,8 +397,6 @@ SweepDriver::runCell(std::uint32_t nodes, node::Topology topo,
         rp.backoff = cfg_.retryBackoff;
         wl.setRetryPolicy(rp);
     }
-    if (cfg_.bgTraffic > 0)
-        wl.setBackground(cfg_.bgTraffic);
     body->install(bed, wl, cell, cfg_);
     wl.run();
 
@@ -467,7 +453,6 @@ SweepDriver::runCell(std::uint32_t nodes, node::Topology topo,
     cell.abortedOps = sumCounters("abortedOps");
     cell.retriedOps = sumCounters("retriedOps");
     cell.failedOps = sumCounters("failedOps");
-    cell.bgOps = sumCounters("bgOps");
     cell.droppedMessages = bed.cluster().fabric().droppedMessages();
     cell.goodputMops = static_cast<double>(cell.okOps) / secs / 1e6;
 
@@ -490,7 +475,6 @@ SweepDriver::runCell(std::uint32_t nodes, node::Topology topo,
     // unrecoverable — anything else means a completion was lost or
     // double-delivered.
     if (cell.workload == "uniform" && cfg_.maxRetries == 0 &&
-        cfg_.bgTraffic == 0.0 &&
         fab::FaultPlan::scenarioOf(cell.faultScenario) == "drop" &&
         cell.okOps + cell.unrecoverable != cell.ops)
         sim::fatal("sweep: drop cell accounting broke: ok_ops " +

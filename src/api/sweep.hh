@@ -101,16 +101,6 @@ struct SweepConfig
     std::uint32_t maxRetries = 8;
     sim::Tick retryBackoff = sim::usToTicks(5);
 
-    /**
-     * Background traffic: every node additionally runs a closed-loop
-     * stream of single-line uniform reads over a private one-QP
-     * session, with a window of max(1, bgTraffic * qpDepth) — a
-     * fraction of the foreground intensity. 0 disables it (and keeps
-     * healthy artifacts byte-identical). Cells with background load
-     * get a "_bg<pct>" label suffix and bg_traffic/bg_ops JSON fields.
-     */
-    double bgTraffic = 0.0;
-
     /** PageRank workload axis (used when workload == "pagerank"). */
     struct PageRankAxis
     {
@@ -137,7 +127,6 @@ struct SweepConfig
      * to the cell artifact when outDir is set; docs/observability.md).
      */
     std::uint64_t obsPeriodNs = 0;
-    std::size_t obsSlots = 1024; //!< fixed ring slots per series
 
     std::string outDir;   //!< write one <prefix><label>.json per cell
     bool echo = true;     //!< print each cell's JSON line to stdout
@@ -161,7 +150,6 @@ struct SweepCellResult
     // degraded fields below appear in its label and JSON).
     std::string faultScenario = "none";
     fab::RoutingMode routing = fab::RoutingMode::kDor;
-    double bgTraffic = 0.0;         //!< background-load fraction (0 = off)
 
     // Measurements.
     std::uint64_t ops = 0;          //!< total remote ops issued
@@ -188,7 +176,6 @@ struct SweepCellResult
     std::uint64_t retransmits = 0;  //!< timed-out transfers re-sent
     std::uint64_t dupSuppressed = 0; //!< replays answered from dedup
     std::uint64_t unrecoverable = 0; //!< transfers given up for good
-    std::uint64_t bgOps = 0;        //!< background reads completed ok
     double goodputMops = 0;         //!< successful ops per simulated second
     double p50LatencyNs = 0;
     double p95LatencyNs = 0;
@@ -214,9 +201,8 @@ struct SweepCellResult
     /**
      * Stable identifier, e.g. "n64_torus_8x8_rs64_qd64"; multi-QP
      * cells append "_qp<N>", batched cells "_db", non-uniform
-     * workloads "_<workload>", adaptively-routed cells "_adaptive",
-     * faulted cells "_<scenario>" and background-loaded cells
-     * "_bg<pct>" (single-QP uniform dor-routed
+     * workloads "_<workload>", adaptively-routed cells "_adaptive" and
+     * faulted cells "_<scenario>" (single-QP uniform dor-routed
      * healthy labels keep their original spelling so existing
      * artifacts stay diffable).
      */

@@ -224,15 +224,14 @@ class ClusterSpec
 
     /**
      * Enable time-series sampling: every registered probe records one
-     * sample per @p periodNs of simulated time into @p slots fixed ring
-     * slots (docs/observability.md). Off by default; enabling it never
-     * changes model timing (the sampler is read-only).
+     * sample per @p periodNs of simulated time into a fixed ring of
+     * node::kObsRingSlots slots (docs/observability.md). Off by default;
+     * enabling it never changes model timing (the sampler is read-only).
      */
     ClusterSpec &
-    observability(std::uint64_t periodNs, std::size_t slots = 1024)
+    observability(std::uint64_t periodNs)
     {
         params_.obs.periodNs = periodNs;
-        params_.obs.slots = slots;
         return *this;
     }
 

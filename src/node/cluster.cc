@@ -142,7 +142,7 @@ Cluster::Cluster(sim::Simulation &sim, const ClusterParams &params)
         eq_ = &sim.eq();
         stats_ = &sim.stats();
         obsPeriod_ = params_.obs.periodNs * sim::kTicksPerNs;
-        stats_->enableSampling(params_.obs.slots);
+        stats_->enableSampling(kObsRingSlots);
     }
 
     switch (params_.topology) {

@@ -33,8 +33,10 @@ enum class Topology
 struct ObsParams
 {
     std::uint64_t periodNs = 0;  //!< sampling period; 0 disables
-    std::size_t slots = 1024;    //!< fixed ring slots per series
 };
+
+/** Fixed ring slots per sampled series: the newest samples are kept. */
+inline constexpr std::size_t kObsRingSlots = 1024;
 
 struct ClusterParams
 {

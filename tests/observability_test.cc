@@ -2,24 +2,21 @@
  * @file
  * Observability pipeline tests: TimeSeries ring semantics, OBS artifact
  * rendering, sampler determinism (sampling on changes no model timing;
- * sampling off keeps cell artifacts byte-identical), byte-for-byte
- * regeneration of the checked-in sweep, degraded and Table 2 artifacts,
- * the JSON string-escaping regression, histogram percentile
- * edge cases, and the zero-allocation guarantee of the steady-state
- * sampling path. This binary overrides global operator new/delete to
- * count heap allocations (same hook as tests/sim_alloc_test.cc).
+ * sampling off keeps cell artifacts byte-identical), the JSON
+ * string-escaping regression, histogram percentile edge cases, and the
+ * zero-allocation guarantee of the steady-state sampling path. This
+ * binary overrides global operator new/delete to count heap allocations
+ * (same hook as tests/sim_alloc_test.cc).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <fstream>
 #include <new>
 #include <sstream>
 #include <string>
 
 #include "api/sweep.hh"
-#include "bench/common.hh"
 #include "sim/stats.hh"
 #include "sim/time_series.hh"
 
@@ -348,121 +345,6 @@ TEST(ObsSampling, SamplingDoesNotPerturbTheCellArtifact)
     EXPECT_TRUE(cellOff.obsJson.empty());
     EXPECT_EQ(jsonSansHostSeconds(cellOff), jsonSansHostSeconds(cellOn))
         << "the read-only sampler must not change model timing";
-}
-
-// ------------------------------------------------- checked-in artifacts
-
-/** A checked-in BENCH_sweep/ artifact, or "" if it is missing. */
-std::string
-checkedIn(const std::string &name)
-{
-    std::ifstream f(std::string(SONUMA_REPO_ROOT) + "/BENCH_sweep/" + name);
-    std::ostringstream os;
-    os << f.rdbuf();
-    return os.str();
-}
-
-/**
- * A checked-in 64 B, depth-16 torus sweep cell and the SweepConfig that
- * the matching bench_sweep command in bench/run_benches.sh builds.
- */
-struct CheckedInCell
-{
-    const char *name;
-    std::uint32_t nodes;
-    void (*configure)(api::SweepConfig &cfg);
-};
-
-/** --nodes=64 --topo=4x4x4 --sizes=64 --depths=16 --ops=64 */
-void
-degradedN64(api::SweepConfig &cfg)
-{
-    cfg.torusDims = {4, 4, 4};
-    cfg.opsPerNode = 64;
-}
-
-const CheckedInCell kCheckedInCells[] = {
-    // Defaults: 128 ops/node, seed 1.
-    {"SweepN8", 8, [](api::SweepConfig &) {}},
-    // Sampling on: the OBS_ sidecar is byte-compared as well.
-    {"NodeKill", 64,
-     [](api::SweepConfig &cfg) {
-         degradedN64(cfg);
-         cfg.faultSpec = "node-kill@10us+100us";
-         cfg.obsPeriodNs = 10000;
-     }},
-    {"AdaptiveLinkKill", 64,
-     [](api::SweepConfig &cfg) {
-         degradedN64(cfg);
-         cfg.routing = fab::RoutingMode::kAdaptive;
-         cfg.faultSpec = "link-kill@10us";
-     }},
-    {"Incast", 64,
-     [](api::SweepConfig &cfg) {
-         degradedN64(cfg);
-         cfg.faultSpec = "incast";
-     }},
-    {"Drop", 64,
-     [](api::SweepConfig &cfg) {
-         degradedN64(cfg);
-         cfg.faultSpec = "drop@10us+100us";
-         cfg.rmcParams.maxAttempts = 6;
-         cfg.maxRetries = 0;
-     }},
-};
-
-void
-PrintTo(const CheckedInCell &cell, std::ostream *os)
-{
-    *os << cell.name;
-}
-
-class CheckedInSweepCell : public ::testing::TestWithParam<CheckedInCell>
-{
-};
-
-TEST_P(CheckedInSweepCell, RegeneratesByteIdentically)
-{
-    // Rerun the cell and byte-compare it with the checked-in artifact
-    // modulo the host_seconds wall-clock tail.
-    api::SweepConfig cfg;
-    cfg.echo = false;
-    GetParam().configure(cfg);
-    const auto cell = api::SweepDriver(cfg).runCell(
-        GetParam().nodes, node::Topology::kTorus, 64, 16);
-
-    const std::string name = (cell.degraded() ? "DEGRADED_" : "SWEEP_") +
-                             cell.label() + ".json";
-    const std::string ref = checkedIn(name);
-    ASSERT_FALSE(ref.empty()) << "missing checked-in artifact " << name;
-    EXPECT_EQ(jsonSansHostSeconds(cell),
-              ref.substr(0, ref.find(", \"host_seconds\"")))
-        << "cell drifted from " << name;
-    if (cfg.obsPeriodNs > 0) {
-        EXPECT_EQ(cell.obsJson, checkedIn("OBS_" + cell.label() + ".json"))
-            << "OBS sidecar of " << name << " drifted";
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    BenchSweep, CheckedInSweepCell, ::testing::ValuesIn(kCheckedInCells),
-    [](const ::testing::TestParamInfo<CheckedInCell> &info) {
-        return std::string(info.param.name);
-    });
-
-TEST(CheckedInTable2, CrossbarCurveRegeneratesByteIdentically)
-{
-    // The Table 2 QP curve is the crossbar's only checked-in artifact
-    // (bench_table2_comparison --curve-only --obs-period-ns=10000).
-    for (const std::uint32_t qps : {1u, 2u, 4u, 8u}) {
-        const std::string label = "TABLE2_iops_qp" + std::to_string(qps);
-        SCOPED_TRACE(label);
-        std::string obs;
-        const double mops = bench::measureIopsAtQps(qps, 10000, &obs);
-        EXPECT_EQ(bench::table2IopsJson(qps, mops),
-                  checkedIn(label + ".json"));
-        EXPECT_EQ(obs, checkedIn("OBS_" + label + ".json"));
-    }
 }
 
 // ------------------------------------------------------------ zero-alloc

@@ -128,9 +128,18 @@ TEST(SweepDriverTest, CellMeasuresAndRendersSchemaStableJson)
     for (const char *key :
          {"\"bench\": \"sweep\"", "\"schema\": 1", "\"nodes\": 4",
           "\"topology\": \"torus_2x2\"", "\"request_bytes\": 64",
-          "\"qp_depth\": 16", "\"ops\": 64", "\"mops\": ",
+          "\"qp_depth\": 16", "\"qp_count\": 1",
+          "\"doorbell_batching\": 0", "\"ops\": 64", "\"mops\": ",
           "\"mean_latency_ns\": ", "\"sim_us\": "})
         EXPECT_NE(json.find(key), std::string::npos) << key;
+
+    // The QP-count axis keeps the schema uniform and gets its own cell.
+    const auto qp2 = driver.runCell(4, node::Topology::kTorus, 64, 16, 2);
+    EXPECT_EQ(qp2.label(), "n4_torus_2x2_rs64_qd16_qp2");
+    std::ostringstream os2;
+    qp2.writeJson(os2);
+    EXPECT_NE(os2.str().find("\"qp_count\": 2"), std::string::npos)
+        << os2.str();
 }
 
 TEST(SweepDriverTest, MatrixRunsEveryCellDeterministically)
